@@ -1,8 +1,9 @@
 """
 Exact Temperley-Lieb algebras of classical type A and of the affine cycle
 type, their Markov traces, and the resulting invariant of affine braid-word
-closures.  Everything is computed over the field Q(v) of rational functions
-in v = sqrt(q), so all results are exact.
+closures.  Everything is exact: values live in the field Q(v) of rational
+functions in v = sqrt(q), and the braid-to-trace pipeline runs over the
+ring Z[v, 1/v] in the integral basis e = (1+q) f, where no gcd is needed.
 """
 
 from .algebra import (
@@ -38,6 +39,7 @@ from .coxeter import (
 from .errors import (
     CrossCheckFailed,
     DivisionByZero,
+    InexactDivision,
     InvalidGenerator,
     LengthLimitExceeded,
     NotClassifiable,

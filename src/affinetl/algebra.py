@@ -14,6 +14,13 @@ nonempty gap, which leaves exactly the two idempotent relations.
 
 The invertible generator systems g and T are linear combinations of f-basis
 elements:  g = (q+1) f - 1  and  T = v g.
+
+The integral generators e = (1+q) f satisfy e_s e_s = (1+q) e_s and
+e_s e_t e_s = q e_s, so a product of e-words is q^loops (1+q)^squares times
+one e-word, and g = e - 1, T = v (e - 1).  Over this basis the braid images,
+the tower images and the trace all have coefficients in Z[v, 1/v]; the
+braid-to-trace pipeline runs there, as plain dicts ``letters -> Laurent``
+over one graph (an "e-element"), and never computes a gcd.
 """
 from __future__ import annotations
 
@@ -29,7 +36,17 @@ from .coxeter import (
     reverse as _reverse_word,
 )
 from .errors import LengthLimitExceeded, ParseError, RankMismatch
-from .scalars import ONE, Q, V, Scalar, delta_pow, parse_scalar, qp1_pow
+from .scalars import (
+    ONE,
+    Q,
+    V,
+    Laurent,
+    Scalar,
+    delta_pow,
+    parse_scalar,
+    qp1_laurent_pow,
+    qp1_pow,
+)
 
 DEFAULT_MAX_LEN = 64
 
@@ -104,6 +121,28 @@ def reduce_letters(g: CoxeterGraph, letters, max_len: int = DEFAULT_MAX_LEN, rng
             loops += 1
 
 
+def word_product(g: CoxeterGraph, left: tuple, right: tuple, max_len: int = DEFAULT_MAX_LEN):
+    """The monomial kernel: fold the letters of ``right`` onto the
+    Cartier-Foata letters ``left`` one at a time.
+
+    Returns ``(loops, squares, word)``, the sandwich and square collapses
+    made and the product's Cartier-Foata letters, so that in the f-basis
+    f_left f_right = DELTA^loops f_word and in the e-basis
+    e_left e_right = q^loops (1+q)^squares e_word.  Each appended letter is
+    checked against ``max_len``.
+    """
+    if not right:
+        return 0, 0, left
+    loops = squares = 0
+    word = left
+    for s in right:
+        k, out = reduce_letters(g, word + (s,), max_len)
+        loops += k
+        squares += len(word) + 1 - len(out) - 2 * k
+        word = out
+    return loops, squares, _cartier_foata_letters(g, word)
+
+
 def append_letter(scale: Scalar, w: FcWord, s: int):
     """Multiply the monomial ``scale * f_w`` by the generator f_s.
 
@@ -115,8 +154,8 @@ def append_letter(scale: Scalar, w: FcWord, s: int):
     (True, (0, 2))
     """
     w.graph.check_letter(s)
-    k, letters = reduce_letters(w.graph, w.letters + (s,))
-    return scale * delta_pow(k), FcWord(w.graph, _cartier_foata_letters(w.graph, letters))
+    k, _, letters = word_product(w.graph, w.letters, (s,))
+    return scale * delta_pow(k), FcWord(w.graph, letters)
 
 
 # ---------------------------------------------------------------------------
@@ -234,24 +273,54 @@ def multiply(x: TLElement, y: TLElement, *, max_len: int = DEFAULT_MAX_LEN,
     for wx, cx in x.terms.items():
         for wy, cy in y.terms.items():
             if order == "left":
-                loops, word = 0, wx.letters
-                for s in wy.letters:
-                    k, word = reduce_letters(g, word + (s,), max_len)
-                    loops += k
+                loops, _, word = word_product(g, wx.letters, wy.letters, max_len)
             elif order == "right":
                 loops, word = 0, wy.letters
                 for s in reversed(wx.letters):
                     k, word = reduce_letters(g, (s,) + word, max_len)
                     loops += k
+                word = _cartier_foata_letters(g, word)
             elif order == "concat":
                 loops, word = reduce_letters(g, wx.letters + wy.letters, max_len, rng)
+                word = _cartier_foata_letters(g, word)
             else:
                 raise ValueError(f"unknown order {order!r}")
-            w = FcWord(g, _cartier_foata_letters(g, word))
+            w = FcWord(g, word)
             c = cx * cy * delta_pow(loops)
             acc = out.get(w)
             out[w] = c if acc is None else acc + c
     return TLElement(g, out)
+
+
+# ---------------------------------------------------------------------------
+# e-elements: dicts letters -> Laurent over one graph, in the integral basis
+
+
+def e_scale(c: Laurent, loops: int, squares: int) -> Laurent:
+    """c q^loops (1+q)^squares: ``c`` times the factor of an e-basis
+    monomial product."""
+    if squares:
+        c = c * qp1_laurent_pow(squares)
+    return c.shift(2 * loops) if loops else c
+
+
+def e_multiply(g: CoxeterGraph, x: dict, y: dict, max_len: int = DEFAULT_MAX_LEN) -> dict:
+    """Product of two e-elements over ``g``; zero terms are dropped."""
+    out: dict = {}
+    for wx, cx in x.items():
+        for wy, cy in y.items():
+            loops, squares, w = word_product(g, wx, wy, max_len)
+            c = e_scale(cx * cy, loops, squares)
+            acc = out.get(w)
+            out[w] = c if acc is None else acc + c
+    return {w: c for w, c in out.items() if c}
+
+
+def e_to_element(g: CoxeterGraph, x: dict) -> TLElement:
+    """The f-basis element of an e-element: e_w = (1+q)^|w| f_w."""
+    return TLElement(g, {
+        FcWord(g, w): (c * qp1_laurent_pow(len(w))).to_scalar() for w, c in x.items()
+    })
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -57,8 +58,10 @@ def cmd_invariant(args) -> int:
         except (ParseError, ValueError) as exc:
             raise ParseError(f"line {lineno}: {exc}") from exc
     tasks = [(b, args.max_len) for b in braids]
-    if args.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # the pool starts all of its workers at once, so never more than can run
+    workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             values = list(pool.map(_braid_invariant, tasks))
     else:
         values = [_braid_invariant(t) for t in tasks]

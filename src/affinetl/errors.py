@@ -5,6 +5,11 @@ class DivisionByZero(ZeroDivisionError):
     """Inversion or evaluation hit a zero denominator."""
 
 
+class InexactDivision(ArithmeticError):
+    """An exact polynomial quotient was asked of a divisor that does not
+    divide.  This must never happen; seeing it means a gcd was wrong."""
+
+
 class ParseError(ValueError):
     """Bad input text; carries the offending position when known."""
 

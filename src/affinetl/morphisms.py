@@ -6,25 +6,32 @@ Maps between the algebras in the tower, and braid words.
                generator onto a conjugated top generator)
 - ``include``: classical rank n -> affine rank n+1  (letters unchanged)
 
-Each map is defined on the invertible g-generators; a basis monomial is a
-product of idempotent f-generators, so its image is the product of the
-cached f-generator images and extending linearly is automatic.  Braid words
-map into the algebras through the T-generator system.
+Each map is defined on the invertible g-generators.  A basis monomial
+f_w = e_w / (1+q)^|w| is a product of integral generators e_s = g_s + 1, so
+its image is the product of the cached e-generator images, computed over
+Z[v, 1/v] and converted to Q(v) only when an f-basis element is returned;
+extending linearly is automatic.  Braid words map into the algebras through
+the T-generator system T = v (e - 1), also over Z[v, 1/v].
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .algebra import (
-    DEFAULT_MAX_LEN,
-    TLElement,
-    gen,
-    multiply,
-)
-from .coxeter import CoxeterGraph, affine, path
+from .algebra import DEFAULT_MAX_LEN, TLElement, e_multiply, e_to_element
+from .coxeter import CoxeterGraph, FcWord, affine, path
 from .errors import InvalidGenerator, ParseError, RankMismatch
-from .scalars import ONE, Q
+from .scalars import L_ONE, L_ZERO, Laurent, qp1_laurent_pow, qp1_pow
+
+# e-basis coefficients (of e_s, of 1) of the invertible generators:
+# g = e - 1,  g^-1 = e/q - 1,  T = v (e - 1),  T^-1 = e/v^3 - 1/v
+_G = (L_ONE, -L_ONE)
+_G_INV = (Laurent(-2, (1,)), -L_ONE)
+_T = {1: (Laurent(1, (1,)), Laurent(1, (-1,))), -1: (Laurent(-3, (1,)), Laurent(-1, (-1,)))}
+
+
+def _e_gen(s: int, coeffs: tuple) -> dict:
+    return {(s,): coeffs[0], (): coeffs[1]}
 
 
 @dataclass(frozen=True)
@@ -91,13 +98,18 @@ def parse_braid(text: str, gens: int) -> BraidWord:
     return BraidWord(gens, tuple(letters))
 
 
+def _braid_image_e(b: BraidWord, max_len: int = DEFAULT_MAX_LEN) -> dict:
+    """Image of a braid word as an e-element: a product of T-generators."""
+    g = b.graph
+    out = {(): L_ONE}
+    for s, e in b.letters:
+        out = e_multiply(g, out, _e_gen(s, _T[e]), max_len)
+    return out
+
+
 def braid_image(b: BraidWord, max_len: int = DEFAULT_MAX_LEN) -> TLElement:
     """Image of a braid word in the affine algebra through T-generators."""
-    g = b.graph
-    out = TLElement.one(g)
-    for s, e in b.letters:
-        out = multiply(out, gen("T" if e == 1 else "T_inv", s, g), max_len=max_len)
-    return out
+    return e_to_element(b.graph, _braid_image_e(b, max_len))
 
 
 def braid_lift(b: BraidWord) -> BraidWord:
@@ -119,43 +131,37 @@ def braid_lift(b: BraidWord) -> BraidWord:
 
 @lru_cache(maxsize=None)
 def _gen_images(kind: str, m: int) -> tuple:
-    """g-generator images of the rank-m affine algebra under F or E."""
+    """Images of the e-generators of the rank-m affine algebra under F or E,
+    as e-elements: plain letters map to themselves, and the wrap letter to
+    1 plus a conjugate of a g-generator."""
     if kind == "F":
         tgt = affine(m + 1)
-        images = [gen("g", i, tgt) for i in range(m - 1)]
-        conj = multiply(
-            multiply(gen("g", m - 1, tgt), gen("g", m, tgt)), gen("g_inv", m - 1, tgt)
-        )
-        images.append(conj)
+        conj = e_multiply(tgt, _e_gen(m - 1, _G), _e_gen(m, _G))
+        wrap = e_multiply(tgt, conj, _e_gen(m - 1, _G_INV))
     elif kind == "E":
         tgt = path(m - 1)
-        images = [gen("g", i, tgt) for i in range(m - 1)]
-        chain = gen("g", m - 2, tgt)
+        wrap = _e_gen(m - 2, _G)
         for i in range(m - 3, -1, -1):
-            chain = multiply(multiply(gen("g", i, tgt), chain), gen("g_inv", i, tgt))
-        images.append(chain)
+            wrap = e_multiply(tgt, _e_gen(i, _G), wrap)
+            wrap = e_multiply(tgt, wrap, _e_gen(i, _G_INV))
     else:
         raise ValueError(kind)
+    wrap = {**wrap, (): wrap.get((), L_ZERO) + L_ONE}
+    images = [{(s,): L_ONE} for s in range(m - 1)]
+    images.append({w: c for w, c in wrap.items() if c})
     return tgt, tuple(images)
 
 
 @lru_cache(maxsize=None)
-def _f_gen_images(kind: str, m: int) -> tuple:
-    """Images of the idempotent f-generators: (g-image + 1) / (q + 1)."""
+def _f_image(kind: str, m: int, letters: tuple[int, ...]) -> dict:
+    """Image of the basis monomial f_w, kept as the e-element image of
+    e_w = (1+q)^|w| f_w, whose coefficients are Laurent: a homomorphism
+    sends the product of e-generators along the word to the product of
+    their images."""
     tgt, images = _gen_images(kind, m)
-    one = TLElement.one(tgt)
-    scale = (ONE + Q).inv()
-    return tgt, tuple((img + one).scale(scale) for img in images)
-
-
-@lru_cache(maxsize=None)
-def _f_image(kind: str, m: int, letters: tuple[int, ...]) -> TLElement:
-    """Image of the basis monomial f_w; a homomorphism sends the product of
-    f-generators along the word to the product of their images."""
-    tgt, images = _f_gen_images(kind, m)
     if not letters:
-        return TLElement.one(tgt)
-    return multiply(_f_image(kind, m, letters[:-1]), images[letters[-1]])
+        return {(): L_ONE}
+    return e_multiply(tgt, _f_image(kind, m, letters[:-1]), images[letters[-1]])
 
 
 def _apply_map(kind: str, x: TLElement) -> TLElement:
@@ -163,19 +169,15 @@ def _apply_map(kind: str, x: TLElement) -> TLElement:
         raise RankMismatch(f"{kind}_map expects an affine-algebra element")
     m = x.graph.gens
     tgt, _ = _gen_images(kind, m)
-    out = TLElement.zero(tgt)
+    out: dict = {}
     for w, c in x.terms.items():
-        out = out + _f_image(kind, m, w.letters).scale(c)
-    return out
-
-
-def _map_g_word(kind: str, m: int, letters: tuple[int, ...]) -> TLElement:
-    """g-word image, used by tests to cross-check the f-monomial route."""
-    tgt, images = _gen_images(kind, m)
-    out = TLElement.one(tgt)
-    for s in letters:
-        out = multiply(out, images[s])
-    return out
+        c = c / qp1_pow(len(w))
+        for u, d in _f_image(kind, m, w.letters).items():
+            # the f_u coefficient of the image of e_w is d (1+q)^|u|
+            t = c * (d * qp1_laurent_pow(len(u))).to_scalar()
+            acc = out.get(u)
+            out[u] = t if acc is None else acc + t
+    return TLElement(tgt, {FcWord(tgt, u): c for u, c in out.items()})
 
 
 def F_map(x: TLElement) -> TLElement:
@@ -192,8 +194,6 @@ def E_map(x: TLElement) -> TLElement:
 def _cast_words(x: TLElement, tgt: CoxeterGraph) -> TLElement:
     """Reinterpret every basis word over a graph with the same commutation
     pattern on the shared letters (plain-letter inclusions only)."""
-    from .coxeter import FcWord
-
     out = {}
     for w, c in x.terms.items():
         for s in w.letters:

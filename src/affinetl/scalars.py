@@ -15,6 +15,9 @@ Polynomials are dense coefficient tuples starting with the constant term,
 as in ``(0, 0, 1)`` for v^2.  Degrees stay small at the scales this package
 targets, so the gcd is a primitive-PRS Euclid over the integers.
 
+The subring Z[v, 1/v] of Laurent polynomials has its own gcd-free type,
+:class:`Laurent`, for the computations whose values never leave it.
+
 >>> print(DELTA * (ONE + Q) ** 2)
 v^2
 >>> print(parse_scalar("q/(1+q)^2"))
@@ -28,7 +31,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DivisionByZero, ParseError
+from .errors import DivisionByZero, InexactDivision, ParseError
 
 # ---------------------------------------------------------------------------
 # dense integer polynomials as tuples, constant term first
@@ -106,7 +109,13 @@ def _pgcd(a, b):
 
 def _pdiv_exact(a, b):
     """Exact quotient a/b in Z[v]; the caller guarantees divisibility, so
-    every intermediate leading coefficient divides evenly."""
+    every intermediate leading coefficient divides evenly.
+
+    >>> _pdiv_exact((1, 0, 1), (1, 1))
+    Traceback (most recent call last):
+    ...
+    affinetl.errors.InexactDivision: inexact polynomial division
+    """
     if not a:
         return ()
     quo = [0] * (len(a) - len(b) + 1)
@@ -114,12 +123,14 @@ def _pdiv_exact(a, b):
     lb = b[-1]
     for k in range(len(quo) - 1, -1, -1):
         t, r = divmod(rem[k + len(b) - 1], lb)
-        assert r == 0, "inexact polynomial division"
+        if r:
+            raise InexactDivision("inexact polynomial division")
         quo[k] = t
         if t:
             for i, d in enumerate(b):
                 rem[k + i] -= t * d
-    assert not any(rem), "inexact polynomial division"
+    if any(rem):
+        raise InexactDivision("inexact polynomial division")
     return _ptrim(quo)
 
 
@@ -391,6 +402,120 @@ V = Scalar((0, 1))
 Q = Scalar((0, 0, 1))
 # the loop parameter: q/(1+q)^2, the value of f_s f_t f_s = DELTA * f_s
 DELTA = Q / (ONE + Q) ** 2
+
+
+# ---------------------------------------------------------------------------
+# the ring Z[v, 1/v] of Laurent polynomials, which needs no gcd
+
+
+class Laurent:
+    """An element of Z[v, 1/v]: v^lo times a dense integer polynomial,
+    constant term first, trimmed at both ends so that equal values have
+    equal fields.  Zero has lo = 0 and no coefficients.
+
+    Sums and products stay in the ring and need no gcd; :meth:`to_scalar`
+    leaves it, at the edge.
+
+    >>> x = Laurent(-1, (1, 0, 1))
+    >>> x * x - Laurent(0, (2,))
+    Laurent(-2, (1, 0, 0, 0, 1))
+    >>> print((x * x).to_scalar())
+    (v^4+2*v^2+1)/(v^2)
+    """
+
+    __slots__ = ("lo", "coeffs")
+
+    def __init__(self, lo: int, coeffs):
+        coeffs = tuple(coeffs)
+        hi = len(coeffs)
+        while hi and not coeffs[hi - 1]:
+            hi -= 1
+        start = 0
+        while start < hi and not coeffs[start]:
+            start += 1
+        self.lo = lo + start if start < hi else 0
+        self.coeffs = coeffs[start:hi]
+
+    @classmethod
+    def _trimmed(cls, lo: int, coeffs: tuple) -> "Laurent":
+        """Fast constructor for coefficients already trimmed at both ends."""
+        self = object.__new__(cls)
+        self.lo = lo
+        self.coeffs = coeffs
+        return self
+
+    def __add__(self, other):
+        if not other.coeffs:
+            return self
+        if not self.coeffs:
+            return other
+        a, b = (self, other) if self.lo <= other.lo else (other, self)
+        out = list(a.coeffs)
+        off = b.lo - a.lo
+        out.extend([0] * (off + len(b.coeffs) - len(out)))
+        for i, d in enumerate(b.coeffs, off):
+            out[i] += d
+        return Laurent(a.lo, out)
+
+    def __neg__(self):
+        return Laurent._trimmed(self.lo, tuple(-c for c in self.coeffs))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return L_ZERO
+        if len(a) < len(b):
+            a, b = b, a
+        if len(b) == 1:
+            d = b[0]
+            return Laurent._trimmed(self.lo + other.lo, a if d == 1 else tuple(c * d for c in a))
+        out = [0] * (len(a) + len(b) - 1)
+        for j, d in enumerate(b):
+            if d:
+                for i, c in enumerate(a, j):
+                    out[i] += c * d
+        # Z is a domain: the product of the two nonzero end terms is nonzero
+        return Laurent._trimmed(self.lo + other.lo, tuple(out))
+
+    def shift(self, k: int) -> "Laurent":
+        """The product with v^k."""
+        return Laurent._trimmed(self.lo + k, self.coeffs) if self.coeffs else self
+
+    def to_scalar(self) -> Scalar:
+        """The same value in Q(v).  The numerator has a nonzero constant
+        term, so it is coprime to the power of v in the denominator and the
+        canonical form needs no gcd.
+
+        >>> Laurent(-3, (1, 0, 1)).to_scalar() == (ONE + Q) / V ** 3
+        True
+        """
+        if self.lo >= 0:
+            return Scalar._reduced((0,) * self.lo + self.coeffs, (1,))
+        return Scalar._reduced(self.coeffs, (0,) * -self.lo + (1,))
+
+    def __eq__(self, other):
+        if not isinstance(other, Laurent):
+            return NotImplemented
+        return self.lo == other.lo and self.coeffs == other.coeffs
+
+    def __bool__(self):
+        return bool(self.coeffs)
+
+    def __repr__(self):
+        return f"Laurent({self.lo}, {self.coeffs})"
+
+
+L_ZERO = Laurent(0, ())
+L_ONE = Laurent(0, (1,))
+
+
+@lru_cache(maxsize=None)
+def qp1_laurent_pow(k: int) -> Laurent:
+    """(1+q)^k in Z[v, 1/v], for k >= 0."""
+    return L_ONE if k == 0 else qp1_laurent_pow(k - 1) * Laurent(0, (1, 0, 1))
 
 
 @lru_cache(maxsize=None)

@@ -28,6 +28,7 @@ from .algebra import (
     DEFAULT_MAX_LEN,
     TLElement,
     _g_word_element,
+    e_scale,
     multiply,
     reduce_letters,
     to_g_basis,
@@ -35,20 +36,23 @@ from .algebra import (
 from .coxeter import FcWord, _cartier_foata_letters, affine, path
 from .errors import (
     CrossCheckFailed,
+    InvalidGenerator,
     LengthLimitExceeded,
     NotClassifiable,
+    NotFcWord,
     RankMismatch,
     SingularSystem,
 )
-from .morphisms import BraidWord, braid_image
-from .scalars import DELTA, ONE, Q, V, Scalar, delta_pow
+from .morphisms import BraidWord, _braid_image_e, _f_image
+from .scalars import DELTA, L_ONE, L_ZERO, ONE, Q, V, Laurent, Scalar, qp1_pow
 
 # trace value gained by a strand the word never touches: -(1+q)/sqrt(q)
 FREE_STRAND_FACTOR = -(ONE + Q) / V
 
-
-# factor per splitting at a top-generator f-occurrence: -sqrt(q)/(1+q)
-SPLIT_FACTOR = -V / (ONE + Q)
+# the same two factors for the integral monomials e_w = (1+q)^|w| f_w:
+# -1/v - v per free strand, -v per splitting at a top-generator occurrence
+_E_FREE_STRAND = Laurent(-1, (-1, 0, -1))
+_E_SPLIT = Laurent(1, (-1,))
 
 
 def jones_trace(x: TLElement) -> Scalar:
@@ -58,47 +62,53 @@ def jones_trace(x: TLElement) -> Scalar:
     n = x.graph.gens
     out = Scalar(())
     for w, c in x.terms.items():
-        out = out + c * _trace_f_word(n, w.letters)
+        out = out + c / qp1_pow(len(w)) * _trace_f_word(n, w.letters).to_scalar()
     return out
 
 
-@lru_cache(maxsize=None)
-def _trace_f_word(n: int, letters: tuple[int, ...]) -> Scalar:
-    """Trace of the basis monomial f_w over path(n).
-
-    The top generator occurs at most once in an FC path word.  If absent,
-    the word lives one rank down and picks up the free-strand factor; if
-    present, splitting b f_top c -> b c costs one split factor and the
-    flanks multiply back into a single monomial times a loop power.
-    """
+def _top_occurrence(n: int, letters: tuple[int, ...]):
+    """Position of the top generator of path(n) in an FC word, or None; it
+    occurs at most once."""
     if n == 0:
-        assert not letters
-        return ONE
-    top = n - 1
-    occurrences = [i for i, s in enumerate(letters) if s == top]
-    if not occurrences:
-        return FREE_STRAND_FACTOR * _trace_f_word(n - 1, letters)
-    assert len(occurrences) == 1, "top generator repeated in an FC path word"
-    i = occurrences[0]
+        if letters:
+            raise InvalidGenerator(f"letters {letters} on the empty path graph")
+        return None
+    occurrences = [i for i, s in enumerate(letters) if s == n - 1]
+    if len(occurrences) > 1:
+        raise NotFcWord(f"top generator repeated in the path word {letters}")
+    return occurrences[0] if occurrences else None
+
+
+@lru_cache(maxsize=None)
+def _trace_f_word(n: int, letters: tuple[int, ...]) -> Laurent:
+    """Trace of the integral monomial e_w = (1+q)^|w| f_w over path(n).
+
+    If the top generator is absent, the word lives one rank down and picks
+    up the free-strand factor; if present, splitting b e_top c -> b c costs
+    one split factor and the flanks multiply back into a single monomial
+    times q^loops (1+q)^squares.
+    """
+    i = _top_occurrence(n, letters)
+    if n == 0:
+        return L_ONE
+    if i is None:
+        return _E_FREE_STRAND * _trace_f_word(n - 1, letters)
     g = path(n - 1)
-    loops, word = reduce_letters(g, letters[:i] + letters[i + 1:])
+    flanks = letters[:i] + letters[i + 1:]
+    loops, word = reduce_letters(g, flanks)
     value = _trace_f_word(n - 1, _cartier_foata_letters(g, word))
-    return SPLIT_FACTOR * delta_pow(loops) * value
+    return e_scale(_E_SPLIT * value, loops, len(flanks) - len(word) - 2 * loops)
 
 
 def _trace_g_word(n: int, letters: tuple[int, ...]) -> Scalar:
     """Trace of a g-basis monomial by the rank-splitting recursion; the
     slower independent route kept for cross-checks.
     """
+    i = _top_occurrence(n, letters)
     if n == 0:
-        assert not letters
         return ONE
-    top = n - 1
-    occurrences = [i for i, s in enumerate(letters) if s == top]
-    if not occurrences:
+    if i is None:
         return FREE_STRAND_FACTOR * _trace_g_word(n - 1, letters)
-    assert len(occurrences) == 1, "top generator repeated in an FC path word"
-    i = occurrences[0]
     g = path(n - 1)
     product = multiply(
         _g_word_element(g, letters[:i]), _g_word_element(g, letters[i + 1:])
@@ -120,10 +130,12 @@ def jones_trace_g_route(x: TLElement) -> Scalar:
 
 
 @lru_cache(maxsize=None)
-def _rho_word(m: int, letters: tuple[int, ...]) -> Scalar:
-    from .morphisms import _f_image
-
-    return jones_trace(_f_image("E", m, letters))
+def _rho_word(m: int, letters: tuple[int, ...]) -> Laurent:
+    """rho of the integral monomial e_w: the trace of its E image."""
+    out = L_ZERO
+    for u, d in _f_image("E", m, letters).items():
+        out = out + d * _trace_f_word(m - 1, u)
+    return out
 
 
 def rho(x: TLElement) -> Scalar:
@@ -139,7 +151,7 @@ def rho(x: TLElement) -> Scalar:
     m = x.graph.gens
     out = Scalar(())
     for w, c in x.terms.items():
-        out = out + c * _rho_word(m, w.letters)
+        out = out + c / qp1_pow(len(w)) * _rho_word(m, w.letters).to_scalar()
     return out
 
 
@@ -148,13 +160,19 @@ def invariant(b: BraidWord, max_len: int = DEFAULT_MAX_LEN) -> Scalar:
 
     No writhe correction is applied: the trace satisfies both stabilization
     signs on the nose, so the raw composite is already invariant and the
-    unknot receives value 1.
+    unknot receives value 1.  It is rho of the braid image, summed over
+    Z[v, 1/v] in the e-basis, where the (1+q)^|w| factors of the image and
+    of the trace cancel.
 
     >>> from .morphisms import parse_braid
     >>> print(invariant(parse_braid("s1 s1 s1", 2)))
     -v^8+v^6+v^2
     """
-    return rho(braid_image(b, max_len=max_len))
+    m = b.gens
+    out = L_ZERO
+    for w, c in _braid_image_e(b, max_len).items():
+        out = out + c * _rho_word(m, w)
+    return out.to_scalar()
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,94 @@
+"""The Q(v) f-basis route, kept as an oracle for the integral e-basis kernel.
+
+Braid images are products of the f-basis T-generators with ``Scalar``
+coefficients; tower images multiply the f-generator images
+(g-image + 1) / (1+q) along each word; the classical trace is the
+rank-splitting recursion on f-monomials with the ``Scalar`` split and
+free-strand factors.  It shares word rewriting and the element product with
+the library, but none of its Laurent arithmetic or e-basis code.
+"""
+from functools import lru_cache
+
+from affinetl import (
+    DEFAULT_MAX_LEN,
+    ONE,
+    Q,
+    V,
+    Scalar,
+    TLElement,
+    affine,
+    gen,
+    multiply,
+    path,
+)
+from affinetl.algebra import reduce_letters
+from affinetl.coxeter import _cartier_foata_letters
+from affinetl.scalars import delta_pow
+
+FREE_STRAND = -(ONE + Q) / V
+SPLIT = -V / (ONE + Q)
+
+
+@lru_cache(maxsize=None)
+def f_gen_images(kind: str, m: int) -> tuple:
+    """Target graph and f-generator images of the rank-m affine algebra."""
+    if kind == "F":
+        tgt = affine(m + 1)
+        conj = multiply(gen("g", m - 1, tgt), gen("g", m, tgt))
+        wrap = multiply(conj, gen("g_inv", m - 1, tgt))
+    else:
+        tgt = path(m - 1)
+        wrap = gen("g", m - 2, tgt)
+        for i in range(m - 3, -1, -1):
+            wrap = multiply(multiply(gen("g", i, tgt), wrap), gen("g_inv", i, tgt))
+    images = [gen("g", i, tgt) for i in range(m - 1)] + [wrap]
+    one = TLElement.one(tgt)
+    return tgt, tuple((img + one).scale((ONE + Q).inv()) for img in images)
+
+
+@lru_cache(maxsize=None)
+def f_image(kind: str, m: int, letters: tuple) -> TLElement:
+    tgt, images = f_gen_images(kind, m)
+    if not letters:
+        return TLElement.one(tgt)
+    return multiply(f_image(kind, m, letters[:-1]), images[letters[-1]])
+
+
+def apply_map(kind: str, x: TLElement) -> TLElement:
+    m = x.graph.gens
+    out = TLElement.zero(f_gen_images(kind, m)[0])
+    for w, c in x.terms.items():
+        out = out + f_image(kind, m, w.letters).scale(c)
+    return out
+
+
+def braid_image(b, max_len: int = DEFAULT_MAX_LEN) -> TLElement:
+    g = b.graph
+    out = TLElement.one(g)
+    for s, e in b.letters:
+        out = multiply(out, gen("T" if e == 1 else "T_inv", s, g), max_len=max_len)
+    return out
+
+
+@lru_cache(maxsize=None)
+def trace_f_word(n: int, letters: tuple) -> Scalar:
+    if n == 0:
+        return ONE
+    at = [i for i, s in enumerate(letters) if s == n - 1]
+    if not at:
+        return FREE_STRAND * trace_f_word(n - 1, letters)
+    i = at[0]
+    g = path(n - 1)
+    loops, word = reduce_letters(g, letters[:i] + letters[i + 1:])
+    return SPLIT * delta_pow(loops) * trace_f_word(n - 1, _cartier_foata_letters(g, word))
+
+
+def jones_trace(x: TLElement) -> Scalar:
+    out = Scalar(())
+    for w, c in x.terms.items():
+        out = out + c * trace_f_word(x.graph.gens, w.letters)
+    return out
+
+
+def invariant(b) -> Scalar:
+    return jones_trace(apply_map("E", braid_image(b)))

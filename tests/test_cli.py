@@ -133,3 +133,36 @@ def test_verify_deterministic_json(capsys):
     payload = json.loads(out1)
     assert payload["ok"] is True
     assert all(c["ok"] for c in payload["checks"])
+
+
+def test_invariant_jobs_clamped_to_tasks_and_cpus(capsys, monkeypatch, tmp_path):
+    from affinetl import cli
+
+    started = []
+
+    class RecordingPool:
+        """Stands in for the process pool: records its size, runs inline."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    f = tmp_path / "words.txt"
+    f.write_text("s1\ns1 s1\ns1 s1 s1\n")
+    huge = str(10 ** 9)
+    for cpus, jobs, expected in ((4, huge, [3]), (2, huge, [2]), (None, huge, []), (4, "1", [])):
+        started.clear()
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        code, out, _ = run(capsys, "invariant", "--gens", "2", "--jobs", jobs, "--file", str(f))
+        assert code == 0
+        assert out.splitlines() == ["1", "-v^5-v", "-v^8+v^6+v^2"]
+        assert started == expected, (cpus, jobs)

@@ -8,6 +8,7 @@ from affinetl import (
     F_map,
     FcWord,
     InvalidGenerator,
+    LengthLimitExceeded,
     ParseError,
     RankMismatch,
     TLElement,
@@ -228,3 +229,35 @@ def test_free_reduce_idempotent(rng):
             r.letters[i] == (r.letters[i + 1][0], -r.letters[i + 1][1])
             for i in range(len(r.letters) - 1)
         )
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_maps_match_qv_oracle(m, rng):
+    import qv_oracle
+
+    src = affine(m)
+    for _ in range(12):
+        x = random_element(src, rng, 3, 5)
+        assert_element_equal(E_map(x), qv_oracle.apply_map("E", x))
+        assert_element_equal(F_map(x), qv_oracle.apply_map("F", x))
+
+
+def test_braid_image_length_cap_matches_qv_oracle(rng):
+    # the cap is checked per appended letter on both routes, so it fires on
+    # exactly the same braids
+    import qv_oracle
+
+    fired = 0
+    for m in (2, 3, 4):
+        for _ in range(15):
+            b = random_braid(m, rng, 10)
+            for cap in (3, 5):
+                try:
+                    want = qv_oracle.braid_image(b, max_len=cap)
+                except LengthLimitExceeded:
+                    with pytest.raises(LengthLimitExceeded):
+                        braid_image(b, max_len=cap)
+                    fired += 1
+                else:
+                    assert_element_equal(braid_image(b, max_len=cap), want)
+    assert fired > 0

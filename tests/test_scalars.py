@@ -1,3 +1,7 @@
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -16,6 +20,7 @@ from affinetl import (
     format_scalar,
     parse_scalar,
 )
+from affinetl.scalars import Laurent
 
 ints = st.integers(-6, 6)
 polys = st.lists(ints, min_size=1, max_size=4).map(tuple)
@@ -131,3 +136,86 @@ def test_canonical_equality_is_structural():
     b = Scalar((0, -1), (-1,))  # -v/-1
     assert b == V
     assert Scalar((0, 0, 2, 0, 2), (0, 2)) == (Q + ONE) * V  # v(q+1) with content
+
+
+# ---------------------------------------------------------------------------
+# the Laurent ring Z[v, 1/v] of the e-basis kernel
+
+
+def _random_laurent(rng):
+    """Zero, a monomial, or a dense polynomial with padding zeros at both
+    ends, random signs, content and a negative or positive shift."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return Laurent(rng.randint(-5, 5), ())
+    width = 1 if kind == 1 else rng.randint(2, 7)
+    content = rng.choice((1, -1, 2, -3, 6))
+    coeffs = [content * rng.randint(-4, 4) for _ in range(width)]
+    pad = [0] * rng.randrange(3)
+    return Laurent(rng.randint(-9, 6), pad + coeffs + pad)
+
+
+def _direct_scalar(x):
+    """The Scalar of a Laurent value, built through the gcd constructor."""
+    shift = x.lo - min(x.lo, 0)
+    return Scalar((0,) * shift + x.coeffs, (0,) * -min(x.lo, 0) + (1,))
+
+
+def test_laurent_agrees_with_scalar_arithmetic():
+    rng = random.Random(20261017)
+    for _ in range(400):
+        a, b = _random_laurent(rng), _random_laurent(rng)
+        sa, sb = _direct_scalar(a), _direct_scalar(b)
+        assert a.to_scalar() == sa
+        assert (a + b).to_scalar() == sa + sb
+        assert (a - b).to_scalar() == sa - sb
+        assert (a * b).to_scalar() == sa * sb
+        assert (-a).to_scalar() == -sa
+        assert a.shift(3).to_scalar() == sa * V ** 3
+        for x in (a + b, a - b, a * b):  # trimmed at both ends
+            assert x == Laurent(x.lo - 1, (0,) + x.coeffs + (0,))
+            assert not x.coeffs or (x.coeffs[0] and x.coeffs[-1])
+            assert bool(x) == (not x.to_scalar().is_zero())
+    assert Laurent(4, (0, 0)) == Laurent(0, ()) and not Laurent(4, (0, 0))
+    assert Laurent(-2, (0, 3, 0)).lo == -1
+
+
+def test_laurent_to_scalar_is_canonical_without_gcd(monkeypatch):
+    from affinetl import scalars
+
+    def no_gcd(a, b):
+        raise AssertionError("polynomial gcd")
+
+    monkeypatch.setattr(scalars, "_pgcd", no_gcd)
+    x = Laurent(-3, (2, 0, -4, 6))  # content 2 on the numerator only
+    assert x.to_scalar().num == (2, 0, -4, 6) and x.to_scalar().den == (0, 0, 0, 1)
+    assert Laurent(2, (-1,)).to_scalar() == -Q
+    assert str(Laurent(-1, (-1, 0, -1)).to_scalar()) == "(-v^2-1)/(v)"
+
+
+def test_invariant_checks_survive_optimize_flag():
+    # library invariants raise typed errors, never asserts that -O removes
+    import affinetl
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(affinetl.__file__)))
+    code = (
+        "from affinetl.errors import InexactDivision, InvalidGenerator, NotFcWord\n"
+        "from affinetl.scalars import _pdiv_exact\n"
+        "from affinetl.traces import _trace_f_word, _trace_g_word\n"
+        "for call, exc in ((lambda: _pdiv_exact((1, 0, 1), (1, 1)), InexactDivision),\n"
+        "                  (lambda: _pdiv_exact((1, 1), (1, 2)), InexactDivision),\n"
+        "                  (lambda: _trace_f_word(0, (1,)), InvalidGenerator),\n"
+        "                  (lambda: _trace_g_word(0, (1,)), InvalidGenerator),\n"
+        "                  (lambda: _trace_f_word(2, (1, 0, 1)), NotFcWord)):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except exc:\n"
+        "        continue\n"
+        "    raise SystemExit(f'{call} did not raise {exc.__name__}')\n"
+        "print('ok')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.strip() == "ok"

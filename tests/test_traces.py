@@ -538,3 +538,50 @@ def test_invariant_is_trace_of_image(rng):
     for _ in range(10):
         b = random_braid(3, rng, 5)
         assert invariant(b) == rho(braid_image(b))
+
+
+# ---------------------------------------------------------------------------
+# the integral e-basis kernel against the Q(v) f-basis route
+
+
+def test_invariant_matches_qv_oracle(rng):
+    import qv_oracle
+
+    for m, letters in ((2, 12), (3, 10), (4, 9), (5, 8), (6, 8)):
+        for _ in range(6):
+            b = random_braid(m, rng, letters)
+            assert_element_equal(braid_image(b), qv_oracle.braid_image(b), str(b))
+            assert_scalar_equal(invariant(b), qv_oracle.invariant(b), str(b))
+
+
+def test_traces_match_qv_oracle(rng):
+    import qv_oracle
+
+    for n in (1, 2, 3, 4):
+        for _ in range(10):
+            x = random_element(path(n), rng, 3, 6)
+            assert_scalar_equal(jones_trace(x), qv_oracle.jones_trace(x))
+    for m in (2, 3, 4):
+        for _ in range(10):
+            x = random_element(affine(m), rng, 3, 5)
+            assert_scalar_equal(rho(x), qv_oracle.jones_trace(qv_oracle.apply_map("E", x)))
+
+
+def test_braid_pipeline_makes_no_gcd(monkeypatch, rng):
+    from affinetl import morphisms, scalars, traces
+
+    braids = [random_braid(m, rng, 7) for m in (2, 3, 4, 5) for _ in range(4)]
+    expected = [(braid_image(b), invariant(b)) for b in braids]
+
+    def no_gcd(a, b):
+        raise AssertionError("polynomial gcd on the e-basis route")
+
+    for cached in (morphisms._gen_images, morphisms._f_image, traces._rho_word,
+                   traces._trace_f_word, scalars.qp1_laurent_pow):
+        cached.cache_clear()
+    monkeypatch.setattr(scalars, "_pgcd", no_gcd)
+    for b, (image, value) in zip(braids, expected):
+        assert braid_image(b) == image
+        assert invariant(b) == value
+    with pytest.raises(AssertionError, match="gcd"):
+        (ONE + Q) / (ONE + V)  # the patch is live for Q(v) arithmetic
