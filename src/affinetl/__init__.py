@@ -9,7 +9,6 @@ ring Z[v, 1/v] in the integral basis e = (1+q) f, where no gcd is needed.
 from .algebra import (
     DEFAULT_MAX_LEN,
     TLElement,
-    append_letter,
     chi,
     element_from_json,
     element_to_json,
@@ -26,15 +25,12 @@ from .coxeter import (
     CoxeterGraph,
     FcWord,
     affine,
-    cartier_foata,
-    commutes,
     enumerate_fc,
     fc_check,
     parse_word,
     path,
     reverse,
     rotate,
-    tl_adjacent,
 )
 from .errors import (
     CrossCheckFailed,
@@ -70,7 +66,6 @@ from .traces import (
     invariant,
     jones_trace,
     rho,
-    rho_params3,
     solve_alpha_beta,
 )
 

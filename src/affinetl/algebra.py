@@ -32,6 +32,7 @@ from .coxeter import (
     _adj_table,
     _cartier_foata_letters,
     _comm_table,
+    _rightmost_redex,
     rotate as _rotate_word,
     reverse as _reverse_word,
 )
@@ -55,70 +56,28 @@ DEFAULT_MAX_LEN = 64
 # word rewriting
 
 
-def reduce_letters(g: CoxeterGraph, letters, max_len: int = DEFAULT_MAX_LEN, rng=None):
+def reduce_letters(g: CoxeterGraph, letters, max_len: int = DEFAULT_MAX_LEN):
     """Rewrite a raw word to its normal form.
 
     Returns ``(k, word)`` with the input monomial equal to DELTA^k times the
-    monomial of the reduced word.  The default strategy scans occurrences
-    right to left and applies the first applicable rule; passing an ``rng``
-    picks a random redex instead (used to probe confluence).
+    monomial of the reduced word.  Each step applies the rightmost redex;
+    the result does not depend on that choice, since the rewriting is
+    confluent.
     """
     if len(letters) > max_len:
         raise LengthLimitExceeded(f"word of length {len(letters)} exceeds cap {max_len}")
-    comm = _comm_table(g)
-    adj = _adj_table(g)
-    word = list(letters)
-    for s in word:
+    for s in letters:
         g.check_letter(s)
-
-    def classify(i, j):
-        # the redex test for the consecutive equal-letter pair (i, j)
-        s = word[i]
-        cs = comm[s]
-        noncomm = None
-        for p in range(i + 1, j):
-            if not cs[word[p]]:
-                if noncomm is not None:
-                    return None
-                noncomm = p
-        if noncomm is None:
-            return (i, j, None)
-        if adj[s][word[noncomm]]:
-            return (i, j, noncomm)
-        return None
-
+    comm, adj = _comm_table(g), _adj_table(g)
+    word = list(letters)
     loops = 0
-    while True:
-        prev_occ = [None] * len(word)
-        last_seen: dict = {}
-        for j, s in enumerate(word):
-            if s in last_seen:
-                prev_occ[j] = last_seen[s]
-            last_seen[s] = j
-        hit = None
-        if rng is None:
-            for j in range(len(word) - 1, -1, -1):
-                if prev_occ[j] is not None:
-                    hit = classify(prev_occ[j], j)
-                    if hit is not None:
-                        break
-        else:
-            found = [
-                h
-                for j in range(len(word))
-                if prev_occ[j] is not None
-                for h in [classify(prev_occ[j], j)]
-                if h is not None
-            ]
-            if found:
-                hit = found[rng.randrange(len(found))]
-        if hit is None:
-            return loops, tuple(word)
-        i, j, t = hit
+    while (hit := _rightmost_redex(comm, adj, word)) is not None:
+        _, j, t = hit
         del word[j]
         if t is not None:
             del word[t]
             loops += 1
+    return loops, tuple(word)
 
 
 def word_product(g: CoxeterGraph, left: tuple, right: tuple, max_len: int = DEFAULT_MAX_LEN):
@@ -141,21 +100,6 @@ def word_product(g: CoxeterGraph, left: tuple, right: tuple, max_len: int = DEFA
         squares += len(word) + 1 - len(out) - 2 * k
         word = out
     return loops, squares, _cartier_foata_letters(g, word)
-
-
-def append_letter(scale: Scalar, w: FcWord, s: int):
-    """Multiply the monomial ``scale * f_w`` by the generator f_s.
-
-    Returns ``(c, w2)`` with  scale * f_w * f_s = c * f_w2.
-
-    >>> from .coxeter import path
-    >>> c, w = append_letter(ONE, FcWord.from_letters(path(3), (0, 1, 2)), 0)
-    >>> (str(c) == str(delta_pow(1)), w.letters)
-    (True, (0, 2))
-    """
-    w.graph.check_letter(s)
-    k, _, letters = word_product(w.graph, w.letters, (s,))
-    return scale * delta_pow(k), FcWord(w.graph, letters)
 
 
 # ---------------------------------------------------------------------------
@@ -258,33 +202,15 @@ class TLElement:
         return format_element(self)
 
 
-def multiply(x: TLElement, y: TLElement, *, max_len: int = DEFAULT_MAX_LEN,
-             order: str = "left", rng=None) -> TLElement:
-    """Bilinear product; per basis pair the words concatenate and rewrite.
-
-    ``order`` picks the fold association ("left", "right", or "concat" for a
-    single whole-word reduction); all agree by confluence and the choice is
-    exposed only so tests can compare strategies.
-    """
-    if x.graph != y.graph:
-        raise RankMismatch(f"mixing {x.graph} with {y.graph}")
+def multiply(x: TLElement, y: TLElement, *, max_len: int = DEFAULT_MAX_LEN) -> TLElement:
+    """Bilinear product; per basis pair the words concatenate and rewrite
+    through :func:`word_product`."""
+    x._require_same_graph(y)
     g = x.graph
     out: dict = {}
     for wx, cx in x.terms.items():
         for wy, cy in y.terms.items():
-            if order == "left":
-                loops, _, word = word_product(g, wx.letters, wy.letters, max_len)
-            elif order == "right":
-                loops, word = 0, wy.letters
-                for s in reversed(wx.letters):
-                    k, word = reduce_letters(g, (s,) + word, max_len)
-                    loops += k
-                word = _cartier_foata_letters(g, word)
-            elif order == "concat":
-                loops, word = reduce_letters(g, wx.letters + wy.letters, max_len, rng)
-                word = _cartier_foata_letters(g, word)
-            else:
-                raise ValueError(f"unknown order {order!r}")
+            loops, _, word = word_product(g, wx.letters, wy.letters, max_len)
             w = FcWord(g, word)
             c = cx * cy * delta_pow(loops)
             acc = out.get(w)

@@ -57,7 +57,7 @@ class CoxeterGraph:
         self.check_letter(s)
         self.check_letter(t)
         if s == t:
-            raise InvalidGenerator("commutes() needs two distinct generators")
+            raise InvalidGenerator(f"{s} and {t} are not two distinct generators")
         if self.kind == PATH:
             return abs(s - t) >= 2
         if self.gens == 2:
@@ -65,15 +65,9 @@ class CoxeterGraph:
         return (s - t) % self.gens not in (1, self.gens - 1)
 
     def tl_adjacent(self, s: int, t: int) -> bool:
-        self.check_letter(s)
-        self.check_letter(t)
-        if s == t:
-            raise InvalidGenerator("tl_adjacent() needs two distinct generators")
-        if self.kind == PATH:
-            return abs(s - t) == 1
-        if self.gens == 2:
-            return False
-        return (s - t) % self.gens in (1, self.gens - 1)
+        """A pair that does not commute is tl-adjacent, unless it is the
+        free pair of the affine cycle on 2 generators."""
+        return not self.commutes(s, t) and not (self.is_affine and self.gens == 2)
 
     def letter_name(self, s: int) -> str:
         self.check_letter(s)
@@ -109,14 +103,6 @@ def path(m: int) -> CoxeterGraph:
 # redex scanning; shared with the algebra rewriting
 
 
-def commutes(g: CoxeterGraph, s: int, t: int) -> bool:
-    return g.commutes(s, t)
-
-
-def tl_adjacent(g: CoxeterGraph, s: int, t: int) -> bool:
-    return g.tl_adjacent(s, t)
-
-
 @lru_cache(maxsize=None)
 def _comm_table(g: CoxeterGraph):
     """m x m commutation table; a letter never commutes with itself."""
@@ -134,47 +120,28 @@ def _adj_table(g: CoxeterGraph):
     )
 
 
-def _redex_between(g, word, i, j):
-    """Classify the pair of equal letters at i < j, or return None.
+def _rightmost_redex(comm, adj, word):
+    """The redex ``(i, j, t)`` of ``word`` with the largest j, or None.
 
-    The pair is a redex when every strictly intervening letter commutes with
-    word[i] (a square), or when exactly one fails to commute and that one is
-    tl-adjacent (a sandwich, worth one loop factor).
+    A redex is a pair of equal letters at i < j, with none of that letter
+    between, such that every letter between commutes with it (a square,
+    ``t`` None), or all but one do and that one, at t, is tl-adjacent to it
+    (a sandwich).  ``comm`` and ``adj`` are the graph's tables.
     """
-    s = word[i]
-    comm = _comm_table(g)[s]
-    noncomm = None
-    for p in range(i + 1, j):
-        if not comm[word[p]]:
-            if noncomm is not None:
-                return None
-            noncomm = p
-    if noncomm is None:
-        return ("square", i, j, None)
-    if _adj_table(g)[s][word[noncomm]]:
-        return ("sandwich", i, j, noncomm)
+    # the walk left from j stops at the first letter that rules a redex out
+    for j in range(len(word) - 1, 0, -1):
+        s = word[j]
+        cs, adj_s = comm[s], adj[s]
+        t = None
+        for p in range(j - 1, -1, -1):
+            u = word[p]
+            if u == s:
+                return p, j, t
+            if not cs[u]:
+                if t is not None or not adj_s[u]:
+                    break
+                t = p
     return None
-
-
-def find_redexes(g: CoxeterGraph, word, first_from_right=False):
-    """All redexes among consecutive equal-letter pairs, left to right.
-
-    A pair with another occurrence of the same letter strictly between is
-    never a redex (the letter neither commutes with nor is adjacent to
-    itself), so consecutive pairs suffice.
-    """
-    last_seen = {}
-    found = []
-    for j, s in enumerate(word):
-        i = last_seen.get(s)
-        if i is not None:
-            hit = _redex_between(g, word, i, j)
-            if hit is not None:
-                found.append(hit)
-        last_seen[s] = j
-    if first_from_right:
-        return found[-1:]
-    return found
 
 
 def fc_check(g: CoxeterGraph, word) -> bool:
@@ -187,7 +154,7 @@ def fc_check(g: CoxeterGraph, word) -> bool:
     """
     for s in word:
         g.check_letter(s)
-    return not find_redexes(g, tuple(word), first_from_right=True)
+    return _rightmost_redex(_comm_table(g), _adj_table(g), tuple(word)) is None
 
 
 class FcWord:
@@ -261,18 +228,6 @@ def _cartier_foata_letters(g: CoxeterGraph, letters) -> tuple[int, ...]:
     return tuple(out)
 
 
-def cartier_foata(g: CoxeterGraph, word) -> FcWord:
-    """Canonical form of a redex-free word.
-
-    >>> cartier_foata(path(3), [2, 0, 1]).letters
-    (0, 2, 1)
-    """
-    word = tuple(word)
-    if not fc_check(g, word):
-        raise NotFcWord(f"word {word} has a redex on {g}")
-    return FcWord(g, _cartier_foata_letters(g, word))
-
-
 def rotate(w: FcWord, d: int) -> FcWord:
     """Shift every letter by d around the affine cycle and re-canonicalize."""
     if not w.graph.is_affine:
@@ -286,14 +241,6 @@ def reverse(w: FcWord) -> FcWord:
     return FcWord(w.graph, _cartier_foata_letters(w.graph, tuple(reversed(w.letters))))
 
 
-def _appendable(g: CoxeterGraph, word, s) -> bool:
-    """Does word + (s,) stay redex-free?  Only the new pair needs checking."""
-    for i in range(len(word) - 1, -1, -1):
-        if word[i] == s:
-            return _redex_between(g, word + (s,), i, len(word)) is None
-    return True
-
-
 def enumerate_fc(g: CoxeterGraph, maxlen: int, limit: int = ENUM_LIMIT):
     """One canonical FcWord per FC element of length <= maxlen, ordered by
     length then lexicographically.
@@ -305,13 +252,14 @@ def enumerate_fc(g: CoxeterGraph, maxlen: int, limit: int = ENUM_LIMIT):
     """
     if maxlen > limit:
         raise LengthLimitExceeded(f"maxlen {maxlen} exceeds the limit {limit}")
+    comm, adj = _comm_table(g), _adj_table(g)
     out = [FcWord(g, ())]
     level = {(): None}
     for _ in range(maxlen):
         nxt = {}
         for word in level:
             for s in range(g.gens):
-                if _appendable(g, word, s):
+                if _rightmost_redex(comm, adj, word + (s,)) is None:
                     nxt[_cartier_foata_letters(g, word + (s,))] = None
         level = nxt
         out.extend(FcWord(g, w) for w in sorted(level))

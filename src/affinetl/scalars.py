@@ -53,10 +53,6 @@ def _pneg(a):
     return tuple(-c for c in a)
 
 
-def _psub(a, b):
-    return _padd(a, _pneg(b))
-
-
 def _pmul(a, b):
     if not a or not b:
         return ()
@@ -542,6 +538,16 @@ def format_scalar(s: Scalar) -> str:
     return f"{num}/({_pfmt(s.den)})"
 
 
+# the largest degree in v of a parsed value, of each power in it, and of each
+# partial sum or product: parsing costs grow with its square, and printed
+# values stay far below it
+MAX_PARSE_DEGREE = 512
+
+
+def _degree(x: Scalar) -> int:
+    return max(len(x.num), len(x.den)) - 1
+
+
 class _ScalarParser:
     def __init__(self, text: str):
         self.text = text
@@ -577,7 +583,10 @@ class _ScalarParser:
             self.pos += 1
         if self.pos == digits:
             self.error("expected integer")
-        return int(self.text[start:self.pos])
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError as exc:  # more digits than Python converts
+            self.error(str(exc))
 
     def expr(self) -> Scalar:
         sign = 1
@@ -590,7 +599,7 @@ class _ScalarParser:
             op = self.peek()
             self.pos += 1
             t = self.term()
-            out = out + t if op == "+" else out - t
+            out = self.bounded(out + t if op == "+" else out - t)
         return out
 
     def term(self) -> Scalar:
@@ -599,15 +608,25 @@ class _ScalarParser:
             op = self.peek()
             self.pos += 1
             f = self.factor()
-            out = out * f if op == "*" else out / f
+            out = self.bounded(out * f if op == "*" else out / f)
         return out
 
     def factor(self) -> Scalar:
         base = self.primary()
-        if self.peek() == "^":
-            self.pos += 1
-            return base ** self.integer()
-        return base
+        if self.peek() != "^":
+            return base
+        self.pos += 1
+        k = self.integer()
+        # checked before the power is built; an integer base counts as
+        # degree 1, which bounds its digits as well
+        if abs(k) * max(_degree(base), 1) > MAX_PARSE_DEGREE:
+            self.error(f"power exceeds degree {MAX_PARSE_DEGREE}")
+        return base ** k
+
+    def bounded(self, x: Scalar) -> Scalar:
+        if _degree(x) > MAX_PARSE_DEGREE:
+            self.error(f"value exceeds degree {MAX_PARSE_DEGREE}")
+        return x
 
     def primary(self) -> Scalar:
         ch = self.peek()

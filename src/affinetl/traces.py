@@ -8,15 +8,15 @@ and adding a free strand multiplies the value by -(1+q)/sqrt(q).
 ``rho`` is the affine trace: collapse through ``E_map`` and take the
 classical trace.  It is symmetric, invariant under the cycle rotation, and
 satisfies the Markov conditions of the affine tower in both stabilization
-signs; those properties are exercised by the test suite rather than assumed
-anywhere in the code.
+signs; those properties are checked by the ``verify`` batteries rather than
+assumed anywhere in the code.
 
 ``generic_trace2`` and ``generic_trace3`` evaluate the rotation-invariant
 linear functionals on the rank-2 and rank-3 affine algebras from their
 defining value tables.  The rank-3 table distinguishes the two rotation-orbit
 families of long basis words because the affine trace provably assigns them
-different values (see :func:`solve_alpha_beta`); a ``uniform`` flag collapses
-the two families onto one parameter sequence.
+different values (see :func:`solve_alpha_beta`); leaving out the second
+family's sequence collapses both onto the first.
 """
 from __future__ import annotations
 
@@ -24,15 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
-from .algebra import (
-    DEFAULT_MAX_LEN,
-    TLElement,
-    _g_word_element,
-    e_scale,
-    multiply,
-    reduce_letters,
-    to_g_basis,
-)
+from .algebra import DEFAULT_MAX_LEN, TLElement, e_scale, multiply, reduce_letters
 from .coxeter import FcWord, _cartier_foata_letters, affine, path
 from .errors import (
     CrossCheckFailed,
@@ -66,19 +58,6 @@ def jones_trace(x: TLElement) -> Scalar:
     return out
 
 
-def _top_occurrence(n: int, letters: tuple[int, ...]):
-    """Position of the top generator of path(n) in an FC word, or None; it
-    occurs at most once."""
-    if n == 0:
-        if letters:
-            raise InvalidGenerator(f"letters {letters} on the empty path graph")
-        return None
-    occurrences = [i for i, s in enumerate(letters) if s == n - 1]
-    if len(occurrences) > 1:
-        raise NotFcWord(f"top generator repeated in the path word {letters}")
-    return occurrences[0] if occurrences else None
-
-
 @lru_cache(maxsize=None)
 def _trace_f_word(n: int, letters: tuple[int, ...]) -> Laurent:
     """Trace of the integral monomial e_w = (1+q)^|w| f_w over path(n).
@@ -86,47 +65,24 @@ def _trace_f_word(n: int, letters: tuple[int, ...]) -> Laurent:
     If the top generator is absent, the word lives one rank down and picks
     up the free-strand factor; if present, splitting b e_top c -> b c costs
     one split factor and the flanks multiply back into a single monomial
-    times q^loops (1+q)^squares.
+    times q^loops (1+q)^squares.  In an FC word the top generator occurs
+    at most once.
     """
-    i = _top_occurrence(n, letters)
     if n == 0:
+        if letters:
+            raise InvalidGenerator(f"letters {letters} on the empty path graph")
         return L_ONE
-    if i is None:
+    top = [i for i, s in enumerate(letters) if s == n - 1]
+    if not top:
         return _E_FREE_STRAND * _trace_f_word(n - 1, letters)
+    if len(top) > 1:
+        raise NotFcWord(f"top generator repeated in the path word {letters}")
+    i = top[0]
     g = path(n - 1)
     flanks = letters[:i] + letters[i + 1:]
     loops, word = reduce_letters(g, flanks)
     value = _trace_f_word(n - 1, _cartier_foata_letters(g, word))
     return e_scale(_E_SPLIT * value, loops, len(flanks) - len(word) - 2 * loops)
-
-
-def _trace_g_word(n: int, letters: tuple[int, ...]) -> Scalar:
-    """Trace of a g-basis monomial by the rank-splitting recursion; the
-    slower independent route kept for cross-checks.
-    """
-    i = _top_occurrence(n, letters)
-    if n == 0:
-        return ONE
-    if i is None:
-        return FREE_STRAND_FACTOR * _trace_g_word(n - 1, letters)
-    g = path(n - 1)
-    product = multiply(
-        _g_word_element(g, letters[:i]), _g_word_element(g, letters[i + 1:])
-    )
-    out = Scalar(())
-    for w, c in to_g_basis(product).items():
-        out = out + c * _trace_g_word(n - 1, w.letters)
-    return out / V
-
-
-def jones_trace_g_route(x: TLElement) -> Scalar:
-    """jones_trace through the g-basis expansion; for cross-checking."""
-    if x.graph.is_affine:
-        raise RankMismatch("jones_trace expects a classical-algebra element")
-    out = Scalar(())
-    for w, c in to_g_basis(x).items():
-        out = out + c * _trace_g_word(x.graph.gens, w.letters)
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -209,20 +165,17 @@ def generic_trace2(p: TraceParamsTL2, x: TLElement) -> Scalar:
 @dataclass(frozen=True)
 class TraceParamsTL3:
     """Values on the short words plus one parameter sequence per
-    rotation-orbit family of long words; ``uniform`` collapses the second
-    family onto the first."""
+    rotation-orbit family of long words; ``beta_rev=None`` collapses the
+    second family onto the first."""
 
     B0: Scalar
     B1: Scalar
     B2: Scalar
     beta: Callable[[int], Scalar]
     beta_rev: Callable[[int], Scalar] | None = None
-    uniform: bool = False
 
     def rev(self, k: int) -> Scalar:
-        if self.uniform or self.beta_rev is None:
-            return self.beta(k)
-        return self.beta_rev(k)
+        return (self.beta_rev or self.beta)(k)
 
 
 _FWD_BASE = (0, 1, 2)  # s1 s2 a
@@ -380,17 +333,3 @@ def solve_alpha_beta(kmax: int, max_len: int = DEFAULT_MAX_LEN):
         betas.append(known[("fwd", k)])
         beta_revs.append(known[("rev", k)])
     return alphas, betas, beta_revs
-
-
-def rho_params3(kmax: int) -> TraceParamsTL3:
-    """Parameter pack making generic_trace3 agree with rho on words of
-    length at most 3*kmax + 2."""
-    _, betas, beta_revs = solve_alpha_beta(kmax)
-    g3 = affine(3)
-    return TraceParamsTL3(
-        B0=rho(TLElement.one(g3)),
-        B1=rho(TLElement.monomial(g3, (0,))),
-        B2=rho(TLElement.monomial(g3, (0, 1))),
-        beta=lambda k: betas[k - 1],
-        beta_rev=lambda k: beta_revs[k - 1],
-    )

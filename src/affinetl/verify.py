@@ -1,27 +1,43 @@
 """
-Named, seeded check batteries behind the ``verify`` command.
+Named, seeded check batteries: the one place each identity is written.
 
-Every battery returns a list of (name, ok, detail) results and is fully
-deterministic for a fixed seed.  The checks mirror the test suite at a
-smaller default size so they run in about a second from the command line.
+Every battery returns a list of (name, ok, detail) results.  One that
+samples draws from the ``rng`` it is given and takes its ranks and sample
+counts as arguments, so it is fully deterministic for a fixed seed.  The
+``verify`` command runs the suites below at small sizes, in about a second;
+the test suite calls the same batteries at its own seeds and sizes.
 """
 from __future__ import annotations
 
+import itertools
 import random
+from collections import defaultdict
 from typing import NamedTuple
 
-from .algebra import TLElement, chi, from_g_word, gen, multiply, psi
+from .algebra import (
+    TLElement,
+    chi,
+    from_g_word,
+    gen,
+    multiply,
+    psi,
+    reduce_letters,
+    word_product,
+)
 from .coxeter import (
     CoxeterGraph,
     FcWord,
-    _appendable,
+    _adj_table,
     _cartier_foata_letters,
+    _comm_table,
+    _rightmost_redex,
     affine,
     path,
 )
 from .morphisms import BraidWord, E_map, F_map, braid_lift, include, widen
 from .scalars import DELTA, ONE, Q, V, Scalar
 from .traces import (
+    FREE_STRAND_FACTOR,
     TraceParamsTL2,
     build_xz,
     generic_trace2,
@@ -52,9 +68,10 @@ def random_scalar(rng: random.Random) -> Scalar:
 
 
 def random_fc_letters(g: CoxeterGraph, rng: random.Random, maxlen: int):
+    comm, adj = _comm_table(g), _adj_table(g)
     word: tuple = ()
     for _ in range(rng.randrange(maxlen + 1)):
-        choices = [s for s in range(g.gens) if _appendable(g, word, s)]
+        choices = [s for s in range(g.gens) if _rightmost_redex(comm, adj, word + (s,)) is None]
         if not choices:
             break
         word = word + (rng.choice(choices),)
@@ -94,261 +111,317 @@ def braid_relators(gens: int):
 
 
 # ---------------------------------------------------------------------------
+# the algebra
 
 
-def _v_relation(x: TLElement, y: TLElement) -> TLElement:
-    """x y x + x y + y x + x + y + 1, which vanishes on tl-adjacent pairs."""
-    one = TLElement.one(x.graph)
-    return (
-        multiply(multiply(x, y), x) + multiply(x, y) + multiply(y, x) + x + y + one
-    )
-
-
-def check_relations(g: CoxeterGraph) -> list[CheckResult]:
-    """The defining relations of the algebra over g, on g-generators."""
-    out = []
-    one = TLElement.one(g)
-    name = f"{g}"
-    ok_quad = all(
-        multiply(gen("g", s, g), gen("g", s, g))
-        == gen("g", s, g).scale(Q - ONE) + one.scale(Q)
-        for s in range(g.gens)
-    )
-    out.append(CheckResult(f"quadratic[{name}]", ok_quad))
+def check_relations(g: CoxeterGraph, hom=None) -> list[CheckResult]:
+    """The defining relations of the algebra over ``g`` on its
+    g-generators, or on their images under the algebra map ``hom``.  On a
+    tl-adjacent pair x, y the relation x y x + x y + y x + x + y + 1 = 0
+    holds besides the triple move."""
+    hom = hom or (lambda x: x)
+    one = hom(TLElement.one(g))
+    ims = [hom(gen("g", s, g)) for s in range(g.gens)]
+    ok_quad = all(multiply(x, x) == x.scale(Q - ONE) + one.scale(Q) for x in ims)
     ok_comm, ok_braid, ok_v = True, True, True
-    for s in range(g.gens):
-        for t in range(s + 1, g.gens):
-            gs, gt = gen("g", s, g), gen("g", t, g)
-            if g.commutes(s, t):
-                ok_comm &= multiply(gs, gt) == multiply(gt, gs)
-            elif g.tl_adjacent(s, t):
-                ok_braid &= multiply(multiply(gs, gt), gs) == multiply(
-                    multiply(gt, gs), gt
-                )
-                ok_v &= _v_relation(gs, gt).is_zero()
-    out.append(CheckResult(f"commutation[{name}]", ok_comm))
-    out.append(CheckResult(f"triple-move[{name}]", ok_braid))
-    out.append(CheckResult(f"v-vanishing[{name}]", ok_v))
-    return out
+    for s, t in itertools.combinations(range(g.gens), 2):
+        x, y = ims[s], ims[t]
+        if g.commutes(s, t):
+            ok_comm &= multiply(x, y) == multiply(y, x)
+        elif g.tl_adjacent(s, t):
+            xy, yx = multiply(x, y), multiply(y, x)
+            xyx = multiply(xy, x)
+            ok_braid &= xyx == multiply(yx, y)
+            ok_v &= (xyx + xy + yx + x + y + one).is_zero()
+    return [
+        CheckResult(f"quadratic[{g}]", ok_quad),
+        CheckResult(f"commutation[{g}]", ok_comm),
+        CheckResult(f"triple-move[{g}]", ok_braid),
+        CheckResult(f"v-vanishing[{g}]", ok_v),
+    ]
 
 
-def suite_relations(seed: int, gens: int = 4) -> list[CheckResult]:
-    out = []
-    for m in range(2, gens + 1):
-        out.extend(check_relations(affine(m)))
-    for n in range(1, gens):
-        out.extend(check_relations(path(n)))
-    rng = random.Random(seed)
-    ok_assoc = True
-    ok_conf = True
-    for m in (2, 3, 4):
-        g = affine(m)
-        for _ in range(20):
-            x, y, z = (random_element(g, rng, 2, 4) for _ in range(3))
+def _reduce_random(g: CoxeterGraph, letters, rng: random.Random):
+    """``reduce_letters`` applying a uniformly random redex at each step.
+    The redexes of a word are the rightmost redexes of its ever shorter
+    prefixes, since a redex of a prefix is a redex of the whole word."""
+    comm, adj = _comm_table(g), _adj_table(g)
+    word, loops = list(letters), 0
+    while True:
+        found, end = [], len(word)
+        while (hit := _rightmost_redex(comm, adj, word[:end])) is not None:
+            found.append(hit)
+            end = hit[1]
+        if not found:
+            return loops, tuple(word)
+        _, j, t = found[-1 - rng.randrange(len(found))]
+        del word[j]
+        if t is not None:
+            del word[t]
+            loops += 1
+
+
+def confluent(x: TLElement, y: TLElement, rng: random.Random) -> bool:
+    """Every basis-word pair of x y reduces to the loop count and word of
+    the library's left fold, ``word_product``, also by the right fold, by
+    one whole-word reduction and by a random redex order."""
+    g = x.graph
+    ok = True
+    for wx in x.terms:
+        for wy in y.terms:
+            left, right = wx.letters, wy.letters
+            loops, _, word = word_product(g, left, right)
+            folds, folded = 0, right
+            for s in reversed(left):
+                k, folded = reduce_letters(g, (s,) + folded)
+                folds += k
+            for k, w in ((folds, folded), reduce_letters(g, left + right),
+                         _reduce_random(g, left + right, rng)):
+                ok &= (k, _cartier_foata_letters(g, w)) == (loops, word)
+    return ok
+
+
+def check_products(rng, graphs, samples, terms=2, maxlen=4) -> list[CheckResult]:
+    """Associativity on sampled triples, and confluence on their first two
+    factors."""
+    ok_assoc = ok_conf = True
+    for g in graphs:
+        for _ in range(samples):
+            x, y, z = (random_element(g, rng, terms, maxlen) for _ in range(3))
             ok_assoc &= multiply(multiply(x, y), z) == multiply(x, multiply(y, z))
-            left = multiply(x, y, order="left")
-            ok_conf &= left == multiply(x, y, order="right")
-            ok_conf &= left == multiply(x, y, order="concat", rng=rng)
-    out.append(CheckResult("associativity[sampled]", ok_assoc))
-    out.append(CheckResult("confluence[sampled]", ok_conf))
-    return out
+            ok_conf &= confluent(x, y, rng)
+    return [
+        CheckResult("associativity[sampled]", ok_assoc),
+        CheckResult("confluence[sampled]", ok_conf),
+    ]
 
 
-def suite_traces(seed: int, gens: int = 4) -> list[CheckResult]:
-    rng = random.Random(seed)
-    out = []
-    p1 = path(1)
+# ---------------------------------------------------------------------------
+# the traces
+
+
+def check_trace_values() -> list[CheckResult]:
+    p1, g3 = path(1), affine(3)
     t1 = gen("T", 0, p1)
-    out.append(CheckResult("trace[T]=1", jones_trace(t1) == ONE))
-    out.append(
-        CheckResult("trace[1]=-(1+q)/v", jones_trace(TLElement.one(p1)) == -(ONE + Q) / V)
-    )
-    out.append(
+    return [
+        CheckResult("trace[T]=1", jones_trace(t1) == ONE),
+        CheckResult("trace[1]=-(1+q)/v", jones_trace(TLElement.one(p1)) == -(ONE + Q) / V),
         CheckResult(
             "trace[T^3]=trefoil",
             jones_trace(multiply(multiply(t1, t1), t1)) == -(Q ** 4) + Q ** 3 + Q,
-        )
-    )
-    g3 = affine(3)
-    out.append(CheckResult("rho[1]", rho(TLElement.one(g3)) == (ONE + Q) ** 2 / Q))
-    out.append(CheckResult("rho[f_s1]", rho(TLElement.monomial(g3, (0,))) == ONE))
-    out.append(
-        CheckResult("rho[f_s1s2]", rho(TLElement.monomial(g3, (0, 1))) == Q / (ONE + Q) ** 2)
-    )
-    ok_sym = True
-    for m in range(2, gens + 1):
+        ),
+        CheckResult("rho[1]", rho(TLElement.one(g3)) == (ONE + Q) ** 2 / Q),
+        CheckResult("rho[f_s1]", rho(TLElement.monomial(g3, (0,))) == ONE),
+        CheckResult("rho[f_s1s2]", rho(TLElement.monomial(g3, (0, 1))) == Q / (ONE + Q) ** 2),
+    ]
+
+
+def check_rho_symmetry(rng, ranks, samples) -> list[CheckResult]:
+    ok = True
+    for m in ranks:
         g = affine(m)
-        for _ in range(20):
+        for _ in range(samples):
             x, y = random_element(g, rng, 2, 4), random_element(g, rng, 2, 4)
-            ok_sym &= rho(multiply(x, y)) == rho(multiply(y, x))
-    out.append(CheckResult("rho-symmetry[sampled]", ok_sym))
-    ok_cls = True
-    for n in range(2, gens + 1):
+            ok &= rho(multiply(x, y)) == rho(multiply(y, x))
+    return [CheckResult("rho-symmetry[sampled]", ok)]
+
+
+def check_classical_markov(rng, ranks, samples, styles=("T",)) -> list[CheckResult]:
+    """tr(b T c) = tr(b c) for b, c one rank down, with the top generator
+    T taken in each of ``styles``."""
+    ok = True
+    for n in ranks:
         g, sub = path(n), path(n - 1)
-        for _ in range(15):
-            b0 = random_element(sub, rng, 2, 4)
-            c0 = random_element(sub, rng, 2, 4)
+        for _ in range(samples):
+            b0, c0 = random_element(sub, rng, 2, 4), random_element(sub, rng, 2, 4)
             b, c = widen(b0, n), widen(c0, n)
-            lhs = jones_trace(multiply(multiply(b, gen("T", n - 1, g)), c))
-            ok_cls &= lhs == jones_trace(multiply(b0, c0))
-    out.append(CheckResult("classical-markov[sampled]", ok_cls))
-    ok_gen2 = True
+            base = jones_trace(multiply(b0, c0))
+            for style in styles:
+                ok &= jones_trace(multiply(multiply(b, gen(style, n - 1, g)), c)) == base
+    return [CheckResult("classical-markov[sampled]", ok)]
+
+
+def check_generic_trace2(rng, samples, maxlen=6) -> list[CheckResult]:
+    """The rank-2 functional is a trace for random parameter values."""
     g2 = affine(2)
-    alpha_values = {}
-
-    def alpha(k):
-        if k not in alpha_values:
-            alpha_values[k] = random_scalar(rng)
-        return alpha_values[k]
-
+    # alpha draws its value for a length when that length is first met
+    alpha = defaultdict(lambda: random_scalar(rng)).__getitem__
     params = TraceParamsTL2(random_scalar(rng), random_scalar(rng), alpha)
-    for _ in range(25):
-        x, y = random_element(g2, rng, 2, 6), random_element(g2, rng, 2, 6)
-        ok_gen2 &= generic_trace2(params, multiply(x, y)) == generic_trace2(
+    ok = True
+    for _ in range(samples):
+        x, y = random_element(g2, rng, 2, maxlen), random_element(g2, rng, 2, maxlen)
+        ok &= generic_trace2(params, multiply(x, y)) == generic_trace2(
             params, multiply(y, x)
         )
-    out.append(CheckResult("rank2-generic-trace[sampled]", ok_gen2))
-    return out
+    return [CheckResult("rank2-generic-trace[sampled]", ok)]
 
 
-def suite_markov(seed: int, gens: int = 3) -> list[CheckResult]:
-    rng = random.Random(seed)
-    out = []
-    for m in range(2, gens + 1):
-        g, tgt = affine(m), affine(m + 1)
-        ok_plus = ok_minus = ok_dilation = ok_psi = True
-        for _ in range(20):
-            h = random_element(g, rng, 2, 4)
-            fh = F_map(h)
-            ok_plus &= rho(multiply(fh, gen("T", m - 1, tgt))) == rho(h)
-            ok_minus &= rho(multiply(fh, gen("T_inv", m - 1, tgt))) == rho(h)
-            ok_dilation &= rho(fh) == -(ONE + Q) / V * rho(h)
-            ok_psi &= rho(psi(h)) == rho(h)
-        out.append(CheckResult(f"stabilization+[rank {m}]", ok_plus))
-        out.append(CheckResult(f"stabilization-[rank {m}]", ok_minus))
-        out.append(CheckResult(f"free-strand-dilation[rank {m}]", ok_dilation))
-        out.append(CheckResult(f"rotation-invariance[rank {m}]", ok_psi))
-        ok_inv = True
-        for _ in range(10):
-            b = random_braid(m, rng, 5)
-            base = invariant(b)
-            w = random_braid(m, rng, 3)
-            ok_inv &= invariant(w * b * w.inverse()) == base
-            rels = braid_relators(m)
-            if rels:
-                r = rng.choice(rels)
-                cut = rng.randrange(len(b.letters) + 1)
-                moved = BraidWord(m, b.letters[:cut] + r + b.letters[cut:])
-                ok_inv &= invariant(moved) == base
-            lifted = braid_lift(b)
-            for e in (1, -1):
-                stab = BraidWord(m + 1, lifted.letters + ((m, e),))
-                ok_inv &= invariant(stab) == base
-        out.append(CheckResult(f"link-invariance[rank {m}]", ok_inv))
-    return out
+# ---------------------------------------------------------------------------
+# the Markov conditions and the link invariant
 
 
-def suite_product_identities(seed: int, kmax: int = 3) -> list[CheckResult]:
-    out = []
-    g3 = affine(3)
-    fwd, rev = (0, 1, 2), (1, 0, 2)
+def check_markov(rng, m: int, samples) -> list[CheckResult]:
+    """rho at rank m against the tower step: both stabilizations, the
+    free-strand dilation, and invariance under the cycle rotation."""
+    tgt = affine(m + 1)
+    t_plus, t_minus = gen("T", m - 1, tgt), gen("T_inv", m - 1, tgt)
+    ok_plus = ok_minus = ok_dilation = ok_psi = True
+    for _ in range(samples):
+        h = random_element(affine(m), rng, 2, 4)
+        fh, base = F_map(h), rho(h)
+        ok_plus &= rho(multiply(fh, t_plus)) == base
+        ok_minus &= rho(multiply(fh, t_minus)) == base
+        ok_dilation &= rho(fh) == FREE_STRAND_FACTOR * base
+        ok_psi &= rho(psi(h)) == base
+    return [
+        CheckResult(f"stabilization+[rank {m}]", ok_plus),
+        CheckResult(f"stabilization-[rank {m}]", ok_minus),
+        CheckResult(f"free-strand-dilation[rank {m}]", ok_dilation),
+        CheckResult(f"rotation-invariance[rank {m}]", ok_psi),
+    ]
 
-    def mono(letters, c=ONE):
-        return TLElement.monomial(g3, letters, c)
 
+def check_link_invariance(rng, m: int, samples) -> list[CheckResult]:
+    """The invariant is unchanged by conjugation, an inserted relator and
+    both stabilizations of a lifted braid."""
+    rels = braid_relators(m)
     ok = True
-    for h in range(1, 4):
-        for k in range(1, 4):
-            lhs = multiply(mono(rev * k), mono(fwd * h))
-            if h < k:
-                ok &= lhs == mono(rev * (k - h), DELTA ** (3 * h))
-            else:
-                ok &= lhs == mono((1, 2) + fwd * (h - k), DELTA ** (3 * k - 1))
-            lhs2 = multiply(mono(fwd * h), mono(rev * k))
-            if h > k:
-                ok &= lhs2 == mono(fwd * (h - k), DELTA ** (3 * k))
-            else:
-                ok &= lhs2 == mono((0, 2) + rev * (k - h), DELTA ** (3 * h - 1))
-    out.append(CheckResult("orbit-power-products", ok))
+    for _ in range(samples):
+        b = random_braid(m, rng, 5)
+        base = invariant(b)
+        w = random_braid(m, rng, 3)
+        ok &= invariant(w * b * w.inverse()) == base
+        if rels:
+            r = rng.choice(rels)
+            cut = rng.randrange(len(b.letters) + 1)
+            ok &= invariant(BraidWord(m, b.letters[:cut] + r + b.letters[cut:])) == base
+        lifted = braid_lift(b)
+        for e in (1, -1):
+            ok &= invariant(BraidWord(m + 1, lifted.letters + ((m, e),))) == base
+    return [CheckResult(f"link-invariance[rank {m}]", ok)]
 
+
+# ---------------------------------------------------------------------------
+# the rank-3 product identities and the tower
+
+
+def _mono3(letters, c=ONE) -> TLElement:
+    return TLElement.monomial(affine(3), letters, c)
+
+
+def check_orbit_products(pairs) -> list[CheckResult]:
+    """For each (h, k): the products rev^k fwd^h and fwd^h rev^k of the
+    rank-3 orbit words collapse to one word times a power of DELTA."""
+    fwd, rev = (0, 1, 2), (1, 0, 2)
+    ok = True
+    for h, k in pairs:
+        lhs = multiply(_mono3(rev * k), _mono3(fwd * h))
+        if h < k:
+            ok &= lhs == _mono3(rev * (k - h), DELTA ** (3 * h))
+        else:
+            ok &= lhs == _mono3((1, 2) + fwd * (h - k), DELTA ** (3 * k - 1))
+        lhs2 = multiply(_mono3(fwd * h), _mono3(rev * k))
+        if h > k:
+            ok &= lhs2 == _mono3(fwd * (h - k), DELTA ** (3 * k))
+        else:
+            ok &= lhs2 == _mono3((0, 2) + rev * (k - h), DELTA ** (3 * h - 1))
+    return [CheckResult("orbit-power-products", ok)]
+
+
+def check_xz(imax: int) -> list[CheckResult]:
+    """The closed forms of x_1 f_2 and f_2 z_1, the recurrence of x_1 x_i
+    and chi(x_i) = z_i, for i <= imax."""
     x1, z1 = build_xz(1)
-    f2 = mono((1,))
-    out.append(
-        CheckResult(
-            "x1*f2 closed form",
-            multiply(x1, f2)
-            == mono((0, 2, 1), -ONE / Q) + mono((0, 1), ONE / (ONE + Q)),
-        )
-    )
-    out.append(
-        CheckResult(
-            "f2*z1 closed form",
-            multiply(f2, z1) == mono((1, 2, 0), -Q) + mono((1, 0), Q / (ONE + Q)),
-        )
-    )
+    f2 = _mono3((1,))
     ok_rec = multiply(x1, x1) == x1.scale(3 * DELTA) + build_xz(2)[0]
     ok_chi = True
-    for i in range(1, 5):
+    for i in range(1, imax + 1):
         xi, zi = build_xz(i)
         ok_chi &= chi(xi) == zi
         if i >= 2:
-            nxt = build_xz(i + 1)[0]
-            ok_rec &= multiply(x1, xi) == build_xz(i - 1)[0].scale(
-                DELTA ** 2
-            ) + xi.scale(2 * DELTA) + nxt
-    out.append(CheckResult("x-recurrence", ok_rec))
-    out.append(CheckResult("chi(x)=z", ok_chi))
+            xprev, xnext = build_xz(i - 1)[0], build_xz(i + 1)[0]
+            ok_rec &= multiply(x1, xi) == xprev.scale(DELTA ** 2) + xi.scale(2 * DELTA) + xnext
+    return [
+        CheckResult(
+            "x1*f2 closed form",
+            multiply(x1, f2) == _mono3((0, 2, 1), -ONE / Q) + _mono3((0, 1), ONE / (ONE + Q)),
+        ),
+        CheckResult(
+            "f2*z1 closed form",
+            multiply(f2, z1) == _mono3((1, 2, 0), -Q) + _mono3((1, 0), Q / (ONE + Q)),
+        ),
+        CheckResult("x-recurrence", ok_rec),
+        CheckResult("chi(x)=z", ok_chi),
+    ]
+
+
+def check_solver(kmax: int) -> list[CheckResult]:
     try:
         alphas, betas, beta_revs = solve_alpha_beta(kmax)
-        ok_ab = all(a == -V / (ONE + Q) for a in alphas)
-        ok_ab &= betas[0] == -ONE / (ONE + Q) ** 3
-        ok_ab &= beta_revs[0] == -(Q ** 3) / (ONE + Q) ** 3
-        out.append(CheckResult("alpha-beta-solver", ok_ab))
     except Exception as exc:  # solver cross-checks internally
-        out.append(CheckResult("alpha-beta-solver", False, repr(exc)))
-    return out
+        return [CheckResult("alpha-beta-solver", False, repr(exc))]
+    ok = all(a == -V / (ONE + Q) for a in alphas)
+    ok &= betas[0] == -ONE / (ONE + Q) ** 3 and beta_revs[0] == -(Q ** 3) / (ONE + Q) ** 3
+    return [CheckResult("alpha-beta-solver", ok)]
 
 
-def suite_tower(seed: int, gens: int = 4) -> list[CheckResult]:
-    rng = random.Random(seed)
-    out = []
+def check_tower(rng, ranks, samples, maxlen=4) -> list[CheckResult]:
+    """E is a section of the inclusion one rank down, and E F equals the
+    widened E on the g-generators and on sampled elements of each rank."""
     ok_section = ok_square = True
-    for m in range(2, gens + 1):
-        for _ in range(10):
-            x = random_element(path(m - 1), rng, 2, 4)
+    for m in ranks:
+        src = affine(m)
+        for s in range(m):
+            x = gen("g", s, src)
+            ok_square &= E_map(F_map(x)) == widen(E_map(x), m)
+        for _ in range(samples):
+            x = random_element(path(m - 1), rng, 2, maxlen)
             ok_section &= E_map(include(x)) == x
-            y = random_element(affine(m), rng, 2, 4)
+            y = random_element(src, rng, 2, maxlen)
             ok_square &= E_map(F_map(y)) == widen(E_map(y), m)
-    out.append(CheckResult("collapse-of-inclusion=id", ok_section))
-    out.append(CheckResult("tower-square-commutes", ok_square))
-    ok_conj = True
-    for m in range(3, gens + 2):
+    return [
+        CheckResult("collapse-of-inclusion=id", ok_section),
+        CheckResult("tower-square-commutes", ok_square),
+    ]
+
+
+def check_twist(ranks) -> list[CheckResult]:
+    """c F(g_s) = F(g_(s-1)) c at each rank m, for the g-word c of the
+    descending word s(m-1) ... s1 a."""
+    ok = True
+    for m in ranks:
         src, tgt = affine(m - 1), affine(m)
         c = from_g_word(FcWord.from_letters(tgt, tuple(range(m - 2, -1, -1)) + (m - 1,)))
         for s in range(m - 1):
             lhs = multiply(c, F_map(gen("g", s, src)))
             rhs = multiply(F_map(gen("g", (s - 1) % (m - 1), src)), c)
-            ok_conj &= lhs == rhs
-    out.append(CheckResult("twist-conjugation", ok_conj))
-    return out
+            ok &= lhs == rhs
+    return [CheckResult("twist-conjugation", ok)]
 
 
 def run_suite(suite: str, seed: int, gens: int = 4, kmax: int = 3) -> list[CheckResult]:
+    """One suite at the command's sizes, or all of them in the order of
+    SUITES; each suite draws from its own ``Random(seed)``."""
     if suite == "all":
-        out = []
-        for name in SUITES:
-            out.extend(run_suite(name, seed, gens, kmax))
-        return out
-    runners = {
-        "relations": lambda: suite_relations(seed, gens),
-        "traces": lambda: suite_traces(seed, gens),
-        "markov": lambda: suite_markov(seed, min(gens, 4)),
-        "paper-identities": lambda: suite_product_identities(seed, kmax)
-        + suite_tower(seed, gens),
-    }
-    if suite not in runners:
+        return [r for name in SUITES for r in run_suite(name, seed, gens, kmax)]
+    if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
+    rng = random.Random(seed)
+    ranks = range(2, gens + 1)
     try:
-        return runners[suite]()
+        if suite == "relations":
+            graphs = [affine(m) for m in ranks] + [path(n) for n in range(1, gens)]
+            return [r for g in graphs for r in check_relations(g)] + check_products(
+                rng, [affine(m) for m in (2, 3, 4)], 20
+            )
+        if suite == "traces":
+            return (check_trace_values() + check_rho_symmetry(rng, ranks, 20)
+                    + check_classical_markov(rng, ranks, 15) + check_generic_trace2(rng, 25))
+        if suite == "markov":
+            return [r for m in range(2, min(gens, 4) + 1)
+                    for r in check_markov(rng, m, 20) + check_link_invariance(rng, m, 10)]
+        return (check_orbit_products(itertools.product(range(1, 4), repeat=2)) + check_xz(4)
+                + check_solver(kmax) + check_tower(rng, ranks, 10)
+                + check_twist(range(3, gens + 2)))
     except Exception as exc:  # a crashed battery is a failed check, not a crash
         return [CheckResult(f"{suite}[error]", False, repr(exc))]

@@ -1,4 +1,5 @@
-"""Shared helpers: seeded generators and exact-plus-numeric comparison.
+"""Shared helpers: the seeded rng, exact-plus-numeric comparison, and the
+results of the `verify` batteries.
 
 Every equality assertion that guards an identity also re-checks it by exact
 rational evaluation at a handful of sample points, so a bug in the
@@ -38,6 +39,12 @@ def assert_element_equal(x, y, msg: str = ""):
         assert_scalar_equal(
             x.terms.get(w, zero), y.terms.get(w, zero), f"{msg} at {w}"
         )
+
+
+def assert_checks(results):
+    """Every result of a ``verify`` battery holds."""
+    failed = [r.name for r in results if not r.ok]
+    assert results and not failed, f"failed checks: {failed}"
 
 
 @pytest.fixture

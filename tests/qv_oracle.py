@@ -6,6 +6,10 @@ coefficients; tower images multiply the f-generator images
 rank-splitting recursion on f-monomials with the ``Scalar`` split and
 free-strand factors.  It shares word rewriting and the element product with
 the library, but none of its Laurent arithmetic or e-basis code.
+
+A second classical trace runs through the g-basis: it splits a g-monomial
+at the top generator, multiplies the flanks back together and expands the
+product in the g-basis one rank down.
 """
 from functools import lru_cache
 
@@ -20,8 +24,9 @@ from affinetl import (
     gen,
     multiply,
     path,
+    to_g_basis,
 )
-from affinetl.algebra import reduce_letters
+from affinetl.algebra import _g_word_element, reduce_letters
 from affinetl.coxeter import _cartier_foata_letters
 from affinetl.scalars import delta_pow
 
@@ -92,3 +97,25 @@ def jones_trace(x: TLElement) -> Scalar:
 
 def invariant(b) -> Scalar:
     return jones_trace(apply_map("E", braid_image(b)))
+
+
+def trace_g_word(n: int, letters: tuple) -> Scalar:
+    if n == 0:
+        return ONE
+    at = [i for i, s in enumerate(letters) if s == n - 1]
+    if not at:
+        return FREE_STRAND * trace_g_word(n - 1, letters)
+    i = at[0]
+    g = path(n - 1)
+    product = multiply(_g_word_element(g, letters[:i]), _g_word_element(g, letters[i + 1:]))
+    out = Scalar(())
+    for w, c in to_g_basis(product).items():
+        out = out + c * trace_g_word(n - 1, w.letters)
+    return out / V
+
+
+def jones_trace_g_route(x: TLElement) -> Scalar:
+    out = Scalar(())
+    for w, c in to_g_basis(x).items():
+        out = out + c * trace_g_word(x.graph.gens, w.letters)
+    return out

