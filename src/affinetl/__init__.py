@@ -33,7 +33,6 @@ from .coxeter import (
     rotate,
 )
 from .errors import (
-    CrossCheckFailed,
     DivisionByZero,
     InexactDivision,
     InvalidGenerator,

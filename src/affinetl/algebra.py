@@ -20,11 +20,11 @@ e_s e_t e_s = q e_s, so a product of e-words is q^loops (1+q)^squares times
 one e-word, and g = e - 1, T = v (e - 1).  Over this basis the braid images,
 the tower images and the trace all have coefficients in Z[v, 1/v]; the
 braid-to-trace pipeline runs there, as plain dicts ``letters -> Laurent``
-over one graph (an "e-element"), and never computes a gcd.
+over one graph (an "e-element"), and never computes a gcd.  The invertible
+generators are written once, as the e-basis table ``E_GENERATORS``, and
+every product of them is the one fold :func:`e_word`.
 """
 from __future__ import annotations
-
-from functools import lru_cache
 
 from .coxeter import (
     CoxeterGraph,
@@ -38,9 +38,8 @@ from .coxeter import (
 )
 from .errors import LengthLimitExceeded, ParseError, RankMismatch
 from .scalars import (
+    L_ONE,
     ONE,
-    Q,
-    V,
     Laurent,
     Scalar,
     delta_pow,
@@ -252,6 +251,26 @@ def e_to_element(g: CoxeterGraph, x: dict) -> TLElement:
 # ---------------------------------------------------------------------------
 # generator systems
 
+# e-basis coefficients (of e_s, of the empty word) of the invertible
+# generators, by (system, sign): the one definition of g, g^-1, T and T^-1
+#   g = e - 1,  g^-1 = e/q - 1,  T = v (e - 1),  T^-1 = e/v^3 - 1/v
+E_GENERATORS = {
+    ("g", 1): (L_ONE, -L_ONE),
+    ("g", -1): (Laurent(-2, (1,)), -L_ONE),
+    ("T", 1): (Laurent(1, (1,)), Laurent(1, (-1,))),
+    ("T", -1): (Laurent(-3, (1,)), Laurent(-1, (-1,))),
+}
+
+
+def e_word(g: CoxeterGraph, system: str, letters, max_len: int = DEFAULT_MAX_LEN) -> dict:
+    """The product of the ``system`` generators along the signed letters
+    ``(s, +1 or -1)``, as an e-element: a left fold of :func:`e_multiply`."""
+    out = {(): L_ONE}
+    for s, sign in letters:
+        es, one = E_GENERATORS[system, sign]
+        out = e_multiply(g, out, {(s,): es, (): one}, max_len)
+    return out
+
 
 def gen(style: str, s: int, graph: CoxeterGraph) -> TLElement:
     """The generator ``s`` in one of the systems f, g, T, g_inv, T_inv.
@@ -259,32 +278,17 @@ def gen(style: str, s: int, graph: CoxeterGraph) -> TLElement:
     g satisfies g^2 = (q-1) g + q; T = v g; f = (g+1)/(q+1) is idempotent.
     """
     graph.check_letter(s)
-    unit = FcWord(graph, ())
-    mono = FcWord(graph, (s,))
-    qp1 = ONE + Q
     if style == "f":
-        return TLElement(graph, {mono: ONE})
-    if style == "g":
-        return TLElement(graph, {mono: qp1, unit: -ONE})
-    if style == "T":
-        return TLElement(graph, {mono: V * qp1, unit: -V})
-    if style == "g_inv":
-        return TLElement(graph, {mono: qp1 / Q, unit: -ONE})
-    if style == "T_inv":
-        return TLElement(graph, {mono: qp1 / (Q * V), unit: -ONE / V})
-    raise ValueError(f"unknown generator style {style!r}")
-
-
-@lru_cache(maxsize=None)
-def _g_word_element(graph: CoxeterGraph, letters: tuple[int, ...]) -> TLElement:
-    if not letters:
-        return TLElement.one(graph)
-    return multiply(_g_word_element(graph, letters[:-1]), gen("g", letters[-1], graph))
+        return TLElement(graph, {FcWord(graph, (s,)): ONE})
+    system, sign = style.removesuffix("_inv"), -1 if style.endswith("_inv") else 1
+    if (system, sign) not in E_GENERATORS:
+        raise ValueError(f"unknown generator style {style!r}")
+    return e_to_element(graph, e_word(graph, system, [(s, sign)]))
 
 
 def from_g_word(w: FcWord) -> TLElement:
     """The product of g-generators along the word, expanded in the f-basis."""
-    return _g_word_element(w.graph, w.letters)
+    return e_to_element(w.graph, e_word(w.graph, "g", [(s, 1) for s in w.letters]))
 
 
 def to_g_basis(x: TLElement) -> dict:
@@ -296,7 +300,7 @@ def to_g_basis(x: TLElement) -> dict:
         w = max(rem, key=lambda u: u.sort_key())
         lead = rem[w] / qp1_pow(len(w))
         out[w] = lead
-        for u, cu in _g_word_element(x.graph, w.letters).terms.items():
+        for u, cu in from_g_word(w).terms.items():
             c = rem.get(u, Scalar(())) - lead * cu
             if c.is_zero():
                 rem.pop(u, None)

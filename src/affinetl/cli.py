@@ -14,7 +14,6 @@ from concurrent.futures import ProcessPoolExecutor
 from . import verify as verify_mod
 from .algebra import (
     DEFAULT_MAX_LEN,
-    TLElement,
     element_to_json,
     format_element,
     multiply,
@@ -78,9 +77,9 @@ def cmd_trace(args) -> int:
     return 0
 
 
-def _parse_product(text: str, g) -> TLElement:
+def _split_product(text: str) -> list:
     """An argument may juxtapose bracket groups, as in "[s1][s2 a]"; split
-    at "][" boundaries and multiply the pieces."""
+    it at the "][" boundaries into the factors."""
     cuts = [0]
     depth = 0
     for pos, ch in enumerate(text):
@@ -91,19 +90,16 @@ def _parse_product(text: str, g) -> TLElement:
             if depth == 0 and text[pos + 1:].lstrip().startswith("["):
                 cuts.append(text.find("[", pos + 1))
     cuts.append(len(text))
-    out = None
-    for lo, hi in zip(cuts, cuts[1:]):
-        x = parse_element(text[lo:hi], g)
-        out = x if out is None else multiply(out, x)
-    return out
+    return [text[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
 
 
 def cmd_multiply(args) -> int:
     g = _graph(args)
     out = None
     for arg in args.elements:
-        x = _parse_product(arg, g)
-        out = x if out is None else multiply(out, x, max_len=args.max_len)
+        for factor in _split_product(arg):
+            x = parse_element(factor, g)
+            out = x if out is None else multiply(out, x, max_len=args.max_len)
     text = format_element(out, basis=args.basis)
     _emit(
         args,
@@ -169,12 +165,13 @@ def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="affinetl")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, typed=True):
+    def common(p, typed=True, capped=True):
         p.add_argument("--gens", type=int, default=2, help="generator count")
         if typed:
             p.add_argument("--type", choices=("affine", "classical"), default="affine")
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--max-len", type=int, default=DEFAULT_MAX_LEN)
+        if capped:
+            p.add_argument("--max-len", type=int, default=DEFAULT_MAX_LEN)
 
     p = sub.add_parser("invariant", help="link invariant of braid-word closures")
     common(p, typed=False)
@@ -184,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_invariant)
 
     p = sub.add_parser("trace", help="Markov trace of an element")
-    common(p)
+    common(p, capped=False)
     p.add_argument("element")
     p.set_defaults(fn=cmd_trace)
 
@@ -204,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_enumerate)
 
     p = sub.add_parser("verify", help="run a named check battery")
-    common(p, typed=False)
+    common(p, typed=False, capped=False)
     p.add_argument("--suite", choices=("all",) + verify_mod.SUITES, default="all")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--kmax", type=int, default=3)
@@ -217,7 +214,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, ValueError, ArithmeticError, RuntimeError) as exc:
+    except (ParseError, ValueError, ArithmeticError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -45,8 +45,3 @@ class NotClassifiable(RuntimeError):
 
 class SingularSystem(ArithmeticError):
     """A linear slot equation has a vanishing leading coefficient."""
-
-
-class CrossCheckFailed(AssertionError):
-    """A built-in consistency check between two independent computation
-    routes failed."""

@@ -18,20 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .algebra import DEFAULT_MAX_LEN, TLElement, e_multiply, e_to_element
+from .algebra import DEFAULT_MAX_LEN, TLElement, e_multiply, e_to_element, e_word
 from .coxeter import CoxeterGraph, FcWord, affine, path
 from .errors import InvalidGenerator, ParseError, RankMismatch
-from .scalars import L_ONE, L_ZERO, Laurent, qp1_laurent_pow, qp1_pow
-
-# e-basis coefficients (of e_s, of 1) of the invertible generators:
-# g = e - 1,  g^-1 = e/q - 1,  T = v (e - 1),  T^-1 = e/v^3 - 1/v
-_G = (L_ONE, -L_ONE)
-_G_INV = (Laurent(-2, (1,)), -L_ONE)
-_T = {1: (Laurent(1, (1,)), Laurent(1, (-1,))), -1: (Laurent(-3, (1,)), Laurent(-1, (-1,)))}
-
-
-def _e_gen(s: int, coeffs: tuple) -> dict:
-    return {(s,): coeffs[0], (): coeffs[1]}
+from .scalars import L_ONE, L_ZERO, qp1_laurent_pow, qp1_pow
 
 
 @dataclass(frozen=True)
@@ -63,15 +53,6 @@ class BraidWord:
             raise RankMismatch("braid words over different groups")
         return BraidWord(self.gens, self.letters + other.letters)
 
-    def free_reduce(self) -> "BraidWord":
-        out: list = []
-        for s, e in self.letters:
-            if out and out[-1] == (s, -e):
-                out.pop()
-            else:
-                out.append((s, e))
-        return BraidWord(self.gens, tuple(out))
-
     def __str__(self):
         g = self.graph
         return " ".join(
@@ -100,11 +81,7 @@ def parse_braid(text: str, gens: int) -> BraidWord:
 
 def _braid_image_e(b: BraidWord, max_len: int = DEFAULT_MAX_LEN) -> dict:
     """Image of a braid word as an e-element: a product of T-generators."""
-    g = b.graph
-    out = {(): L_ONE}
-    for s, e in b.letters:
-        out = e_multiply(g, out, _e_gen(s, _T[e]), max_len)
-    return out
+    return e_word(b.graph, "T", b.letters, max_len)
 
 
 def braid_image(b: BraidWord, max_len: int = DEFAULT_MAX_LEN) -> TLElement:
@@ -133,19 +110,18 @@ def braid_lift(b: BraidWord) -> BraidWord:
 def _gen_images(kind: str, m: int) -> tuple:
     """Images of the e-generators of the rank-m affine algebra under F or E,
     as e-elements: plain letters map to themselves, and the wrap letter to
-    1 plus a conjugate of a g-generator."""
+    1 plus the g-image of its braid-level image, a conjugate of one
+    generator: the letters ``braid_lift`` substitutes under F, and
+    s1 ... s(m-1) s(m-2)^-1 ... s1^-1 under E."""
     if kind == "F":
         tgt = affine(m + 1)
-        conj = e_multiply(tgt, _e_gen(m - 1, _G), _e_gen(m, _G))
-        wrap = e_multiply(tgt, conj, _e_gen(m - 1, _G_INV))
+        letters = braid_lift(BraidWord(m, ((m - 1, 1),))).letters
     elif kind == "E":
         tgt = path(m - 1)
-        wrap = _e_gen(m - 2, _G)
-        for i in range(m - 3, -1, -1):
-            wrap = e_multiply(tgt, _e_gen(i, _G), wrap)
-            wrap = e_multiply(tgt, wrap, _e_gen(i, _G_INV))
+        letters = [(i, 1) for i in range(m - 1)] + [(i, -1) for i in range(m - 3, -1, -1)]
     else:
         raise ValueError(kind)
+    wrap = e_word(tgt, "g", letters)
     wrap = {**wrap, (): wrap.get((), L_ZERO) + L_ONE}
     images = [{(s,): L_ONE} for s in range(m - 1)]
     images.append({w: c for w, c in wrap.items() if c})

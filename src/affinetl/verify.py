@@ -39,6 +39,8 @@ from .scalars import DELTA, ONE, Q, V, Scalar
 from .traces import (
     FREE_STRAND_FACTOR,
     TraceParamsTL2,
+    _FWD_BASE,
+    _REV_BASE,
     build_xz,
     generic_trace2,
     invariant,
@@ -312,19 +314,18 @@ def _mono3(letters, c=ONE) -> TLElement:
 def check_orbit_products(pairs) -> list[CheckResult]:
     """For each (h, k): the products rev^k fwd^h and fwd^h rev^k of the
     rank-3 orbit words collapse to one word times a power of DELTA."""
-    fwd, rev = (0, 1, 2), (1, 0, 2)
     ok = True
     for h, k in pairs:
-        lhs = multiply(_mono3(rev * k), _mono3(fwd * h))
+        lhs = multiply(_mono3(_REV_BASE * k), _mono3(_FWD_BASE * h))
         if h < k:
-            ok &= lhs == _mono3(rev * (k - h), DELTA ** (3 * h))
+            ok &= lhs == _mono3(_REV_BASE * (k - h), DELTA ** (3 * h))
         else:
-            ok &= lhs == _mono3((1, 2) + fwd * (h - k), DELTA ** (3 * k - 1))
-        lhs2 = multiply(_mono3(fwd * h), _mono3(rev * k))
+            ok &= lhs == _mono3((1, 2) + _FWD_BASE * (h - k), DELTA ** (3 * k - 1))
+        lhs2 = multiply(_mono3(_FWD_BASE * h), _mono3(_REV_BASE * k))
         if h > k:
-            ok &= lhs2 == _mono3(fwd * (h - k), DELTA ** (3 * k))
+            ok &= lhs2 == _mono3(_FWD_BASE * (h - k), DELTA ** (3 * k))
         else:
-            ok &= lhs2 == _mono3((0, 2) + rev * (k - h), DELTA ** (3 * h - 1))
+            ok &= lhs2 == _mono3((0, 2) + _REV_BASE * (k - h), DELTA ** (3 * h - 1))
     return [CheckResult("orbit-power-products", ok)]
 
 
@@ -356,12 +357,17 @@ def check_xz(imax: int) -> list[CheckResult]:
 
 
 def check_solver(kmax: int) -> list[CheckResult]:
+    """The values of ``solve_alpha_beta(kmax)``: the closed forms of the
+    alphas, beta_1 and beta'_1, and every beta_k and beta'_k against the
+    direct rho of its basis word."""
     try:
         alphas, betas, beta_revs = solve_alpha_beta(kmax)
-    except Exception as exc:  # solver cross-checks internally
+    except Exception as exc:  # a crashed solver fails this check by name
         return [CheckResult("alpha-beta-solver", False, repr(exc))]
     ok = all(a == -V / (ONE + Q) for a in alphas)
     ok &= betas[0] == -ONE / (ONE + Q) ** 3 and beta_revs[0] == -(Q ** 3) / (ONE + Q) ** 3
+    for k, (beta, beta_rev) in enumerate(zip(betas, beta_revs), start=1):
+        ok &= beta == rho(_mono3(_FWD_BASE * k)) and beta_rev == rho(_mono3(_REV_BASE * k))
     return [CheckResult("alpha-beta-solver", ok)]
 
 
@@ -402,6 +408,8 @@ def check_twist(ranks) -> list[CheckResult]:
 def run_suite(suite: str, seed: int, gens: int = 4, kmax: int = 3) -> list[CheckResult]:
     """One suite at the command's sizes, or all of them in the order of
     SUITES; each suite draws from its own ``Random(seed)``."""
+    if gens < 2 or kmax < 1:
+        raise ValueError(f"gens must be at least 2 and kmax at least 1, not {gens} and {kmax}")
     if suite == "all":
         return [r for name in SUITES for r in run_suite(name, seed, gens, kmax)]
     if suite not in SUITES:

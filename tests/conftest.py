@@ -1,5 +1,5 @@
-"""Shared helpers: the seeded rng, exact-plus-numeric comparison, and the
-results of the `verify` batteries.
+"""Shared helpers: the seeded rng, exact-plus-numeric comparison, the
+results of the `verify` batteries, and free reduction of braid words.
 
 Every equality assertion that guards an identity also re-checks it by exact
 rational evaluation at a handful of sample points, so a bug in the
@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from affinetl import DivisionByZero, Scalar
+from affinetl import BraidWord, DivisionByZero, Scalar
 
 # sample points for numeric re-checks; small odd rationals dodge the poles
 # at v = 0 and v^2 = -1 that the algebra's denominators can have
@@ -45,6 +45,17 @@ def assert_checks(results):
     """Every result of a ``verify`` battery holds."""
     failed = [r.name for r in results if not r.ok]
     assert results and not failed, f"failed checks: {failed}"
+
+
+def free_reduce(b: BraidWord) -> BraidWord:
+    """Cancel adjacent inverse letter pairs, repeatedly."""
+    out: list = []
+    for s, e in b.letters:
+        if out and out[-1] == (s, -e):
+            out.pop()
+        else:
+            out.append((s, e))
+    return BraidWord(b.gens, tuple(out))
 
 
 @pytest.fixture

@@ -1,11 +1,13 @@
 """The Q(v) f-basis route, kept as an oracle for the integral e-basis kernel.
 
-Braid images are products of the f-basis T-generators with ``Scalar``
-coefficients; tower images multiply the f-generator images
+The invertible generators g, g^-1, T and T^-1 are written here a second
+time, over ``Scalar`` in the f-basis.  Braid images are products of the
+T-generators; tower images multiply the f-generator images
 (g-image + 1) / (1+q) along each word; the classical trace is the
 rank-splitting recursion on f-monomials with the ``Scalar`` split and
 free-strand factors.  It shares word rewriting and the element product with
-the library, but none of its Laurent arithmetic or e-basis code.
+the library, but none of its Laurent arithmetic or e-basis code, and never
+reads the library's generator table.
 
 A second classical trace runs through the g-basis: it splits a g-monomial
 at the top generator, multiplies the flanks back together and expands the
@@ -18,20 +20,58 @@ from affinetl import (
     ONE,
     Q,
     V,
+    FcWord,
     Scalar,
     TLElement,
     affine,
-    gen,
     multiply,
     path,
-    to_g_basis,
 )
-from affinetl.algebra import _g_word_element, reduce_letters
+from affinetl.algebra import reduce_letters
 from affinetl.coxeter import _cartier_foata_letters
-from affinetl.scalars import delta_pow
+from affinetl.scalars import delta_pow, qp1_pow
 
 FREE_STRAND = -(ONE + Q) / V
 SPLIT = -V / (ONE + Q)
+
+# f-basis coefficients (of f_s, of 1) of the invertible generators
+GENERATORS = {
+    "g": (ONE + Q, -ONE),
+    "g_inv": ((ONE + Q) / Q, -ONE),
+    "T": (V * (ONE + Q), -V),
+    "T_inv": ((ONE + Q) / (Q * V), -ONE / V),
+}
+
+
+def gen(style: str, s: int, graph) -> TLElement:
+    mono, unit = GENERATORS[style]
+    return TLElement(graph, {FcWord(graph, (s,)): mono, FcWord(graph, ()): unit})
+
+
+@lru_cache(maxsize=None)
+def g_word_element(graph, letters: tuple) -> TLElement:
+    """The product of g-generators along the letters, in the f-basis."""
+    if not letters:
+        return TLElement.one(graph)
+    return multiply(g_word_element(graph, letters[:-1]), gen("g", letters[-1], graph))
+
+
+def to_g_basis(x: TLElement) -> dict:
+    """Coordinates of x in the g-word basis, by triangular elimination from
+    the longest f-words downward."""
+    rem = dict(x.terms)
+    out: dict = {}
+    while rem:
+        w = max(rem, key=lambda u: u.sort_key())
+        lead = rem[w] / qp1_pow(len(w))
+        out[w] = lead
+        for u, cu in g_word_element(x.graph, w.letters).terms.items():
+            c = rem.get(u, Scalar(())) - lead * cu
+            if c.is_zero():
+                rem.pop(u, None)
+            else:
+                rem[u] = c
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -107,7 +147,7 @@ def trace_g_word(n: int, letters: tuple) -> Scalar:
         return FREE_STRAND * trace_g_word(n - 1, letters)
     i = at[0]
     g = path(n - 1)
-    product = multiply(_g_word_element(g, letters[:i]), _g_word_element(g, letters[i + 1:]))
+    product = multiply(g_word_element(g, letters[:i]), g_word_element(g, letters[i + 1:]))
     out = Scalar(())
     for w, c in to_g_basis(product).items():
         out = out + c * trace_g_word(n - 1, w.letters)

@@ -95,11 +95,15 @@ def test_orbit_power_product_example():
 
 
 def test_generator_styles():
+    import qv_oracle
+
     g3 = affine(3)
     for s in range(3):
         assert multiply(gen("g_inv", s, g3), gen("g", s, g3)) == TLElement.one(g3)
         assert multiply(gen("T_inv", s, g3), gen("T", s, g3)) == TLElement.one(g3)
         assert gen("T", s, g3) == gen("g", s, g3).scale(V)
+        for style in qv_oracle.GENERATORS:
+            assert gen(style, s, g3) == qv_oracle.gen(style, s, g3)
     expected = TLElement(
         g3,
         {
@@ -108,8 +112,9 @@ def test_generator_styles():
         },
     )
     assert gen("g", 0, g3) == expected
-    with pytest.raises(ValueError):
-        gen("h", 0, g3)
+    for style in ("h", "f_inv"):
+        with pytest.raises(ValueError):
+            gen(style, 0, g3)
 
 
 def test_quadratic_relation_all_styles():
@@ -152,6 +157,8 @@ def test_to_g_basis_examples():
 
 
 def test_g_basis_roundtrip(rng):
+    import qv_oracle
+
     for g in (affine(2), affine(3), affine(4), path(3)):
         for _ in range(25):
             x = random_element(g, rng, 3, 6)
@@ -163,6 +170,7 @@ def test_g_basis_roundtrip(rng):
             w = max(x.terms, key=lambda u: u.sort_key()) if x.terms else None
             if w is not None:
                 assert to_g_basis(from_g_word(w)) == {w: ONE}
+                assert from_g_word(w) == qv_oracle.g_word_element(g, w.letters)
 
 
 def test_psi_properties(rng):

@@ -1,5 +1,6 @@
 import json
 
+import pytest
 
 from affinetl import affine, parse_element, parse_scalar
 from affinetl.cli import main
@@ -113,6 +114,33 @@ def test_parse_errors_exit_2(capsys):
     assert code == 2
     code, _, err = run(capsys, "reduce", "--gens", "2", "bogus")
     assert code == 2
+
+
+def test_unreadable_file_exits_2(capsys, tmp_path):
+    code, out, err = run(capsys, "invariant", "--gens", "2", "--file", str(tmp_path / "missing"))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "missing" in err
+
+
+def test_multiply_caps_juxtaposed_factors(capsys):
+    for argv in (["[s1][s2][a]"], ["[s1]", "[s2]", "[a]"]):
+        code, out, err = run(capsys, "multiply", "--gens", "3", "--max-len", "2", *argv)
+        assert code == 2 and out == ""
+        assert "exceeds cap 2" in err
+
+
+def test_verify_rejects_meaningless_sizes(capsys):
+    for flag, value in (("--kmax", "0"), ("--gens", "1")):
+        code, out, err = run(capsys, "verify", "--suite", "all", flag, value)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [["trace", "[s1 a]"], ["verify"]])
+def test_trace_and_verify_take_no_max_len(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--max-len", "1"])
+    assert exc.value.code == 2
 
 
 def test_huge_scalar_power_exits_2(capsys):

@@ -29,6 +29,7 @@ from affinetl import (
     chi,
     classify_orbit3,
     enumerate_fc,
+    from_g_word,
     gen,
     generic_trace2,
     generic_trace3,
@@ -58,7 +59,7 @@ from affinetl.verify import (
     random_scalar,
 )
 
-from conftest import assert_checks, assert_element_equal, assert_scalar_equal
+from conftest import assert_checks, assert_element_equal, assert_scalar_equal, free_reduce
 
 
 def mono(g, letters, c=ONE):
@@ -477,7 +478,7 @@ def test_invariant_under_markov_moves(rng):
         assert_checks(check_link_invariance(rng, m, 20))
         for _ in range(20):
             b = random_braid(m, rng, 5)
-            assert invariant(b.free_reduce()) == invariant(b)
+            assert invariant(free_reduce(b)) == invariant(b)
 
 
 def test_invariant_is_trace_of_image(rng):
@@ -518,6 +519,12 @@ def test_braid_pipeline_makes_no_gcd(monkeypatch, rng):
 
     braids = [random_braid(m, rng, 7) for m in (2, 3, 4, 5) for _ in range(4)]
     expected = [(braid_image(b), invariant(b)) for b in braids]
+    graphs = (affine(2), affine(3), path(3))
+    gens = [(style, s, g) for g in graphs for s in range(g.gens)
+            for style in ("f", "g", "g_inv", "T", "T_inv")]
+    words = [w for g in graphs for w in enumerate_fc(g, 4)]
+    expected_gens = [gen(*args) for args in gens]
+    expected_words = [from_g_word(w) for w in words]
 
     def no_gcd(a, b):
         raise AssertionError("polynomial gcd on the e-basis route")
@@ -529,5 +536,7 @@ def test_braid_pipeline_makes_no_gcd(monkeypatch, rng):
     for b, (image, value) in zip(braids, expected):
         assert braid_image(b) == image
         assert invariant(b) == value
+    assert [gen(*args) for args in gens] == expected_gens
+    assert [from_g_word(w) for w in words] == expected_words
     with pytest.raises(AssertionError, match="gcd"):
         (ONE + Q) / (ONE + V)  # the patch is live for Q(v) arithmetic

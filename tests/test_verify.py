@@ -3,9 +3,11 @@ that the batteries the tests rely on do report a broken identity."""
 import json
 import random
 
-from affinetl import affine, traces, verify
+import pytest
+
+from affinetl import affine, algebra, morphisms, traces, verify
 from affinetl.cli import main
-from affinetl.scalars import Laurent
+from affinetl.scalars import L_ONE, Laurent
 
 RELATIONS = ("quadratic", "commutation", "triple-move", "v-vanishing")
 GRAPHS = [f"affine-cycle({m})" for m in (2, 3, 4)] + [f"type-a-path({n})" for n in (1, 2, 3)]
@@ -32,26 +34,61 @@ def test_verify_all_runs_the_pinned_checks(capsys):
     assert len(ALL_CHECKS) == 59 and payload["ok"] is True
 
 
-def _clear_trace_caches():
-    traces._trace_f_word.cache_clear()
-    traces._rho_word.cache_clear()
+def _clear_word_caches():
+    for cached in (morphisms._gen_images, morphisms._f_image, traces._trace_f_word,
+                   traces._rho_word):
+        cached.cache_clear()
 
 
 def test_batteries_report_a_wrong_split_factor(monkeypatch):
-    _clear_trace_caches()
+    _clear_word_caches()
     monkeypatch.setattr(traces, "_E_SPLIT", Laurent(1, (1,)))  # +v where -v belongs
     try:
         failed = {r.name for r in verify.run_suite("all", 0) if not r.ok}
         markov = verify.check_markov(random.Random(1), 3, 5)
     finally:
         monkeypatch.undo()
-        _clear_trace_caches()
+        _clear_word_caches()
     assert {"trace[T]=1", "classical-markov[sampled]", "rho-symmetry[sampled]",
             "alpha-beta-solver"} <= failed
     assert {f"{check}[rank {m}]" for m in (2, 3, 4)
             for check in ("stabilization+", "stabilization-", "link-invariance")} <= failed
     assert not any(name.startswith(RELATIONS) for name in failed)
     assert [r.ok for r in markov] == [False, False, True, False]
+
+
+# each generator of the e-basis table with the sign of its constant term
+# flipped, and checks that must then fail
+@pytest.mark.parametrize("key, wrong, fails", [
+    (("g", 1), (L_ONE, L_ONE),
+     {f"{rel}[affine-cycle(3)]" for rel in ("quadratic", "triple-move", "v-vanishing")}),
+    (("g", -1), (Laurent(-2, (1,)), L_ONE),
+     {"rho-symmetry[sampled]", "stabilization+[rank 3]", "stabilization-[rank 3]"}),
+    (("T", 1), (Laurent(1, (1,)), Laurent(1, (1,))), {"trace[T]=1", "stabilization+[rank 3]"}),
+    (("T", -1), (Laurent(-3, (1,)), Laurent(-1, (1,))),
+     {"stabilization-[rank 3]", "link-invariance[rank 3]"}),
+], ids=["g", "g_inv", "T", "T_inv"])
+def test_batteries_report_a_wrong_generator(monkeypatch, key, wrong, fails):
+    _clear_word_caches()
+    monkeypatch.setitem(algebra.E_GENERATORS, key, wrong)
+    try:
+        failed = {r.name for r in verify.run_suite("all", 0) if not r.ok}
+    finally:
+        monkeypatch.undo()
+        _clear_word_caches()
+    assert fails <= failed
+
+
+def test_solver_battery_reports_a_wrong_long_word_value(monkeypatch):
+    solve = verify.solve_alpha_beta
+
+    def wrong(kmax):  # beta'_k doubled for k >= 2; the closed forms still hold
+        alphas, betas, beta_revs = solve(kmax)
+        return alphas, betas, beta_revs[:1] + [2 * b for b in beta_revs[1:]]
+
+    assert verify.check_solver(3)[0].ok
+    monkeypatch.setattr(verify, "solve_alpha_beta", wrong)
+    assert not verify.check_solver(3)[0].ok
 
 
 def test_confluence_battery_reports_a_lost_loop_factor(monkeypatch):
