@@ -23,14 +23,15 @@ from .algebra import (
 )
 from .coxeter import (
     CoxeterGraph,
-    FcWord,
     affine,
     enumerate_fc,
     fc_check,
+    fc_word,
     parse_word,
     path,
     reverse,
     rotate,
+    word_text,
 )
 from .errors import (
     DivisionByZero,

@@ -28,13 +28,14 @@ from __future__ import annotations
 
 from .coxeter import (
     CoxeterGraph,
-    FcWord,
     _adj_table,
     _cartier_foata_letters,
     _comm_table,
     _rightmost_redex,
+    fc_word,
     rotate as _rotate_word,
     reverse as _reverse_word,
+    word_text,
 )
 from .errors import LengthLimitExceeded, ParseError, RankMismatch
 from .scalars import (
@@ -105,7 +106,8 @@ def word_product(g: CoxeterGraph, left: tuple, right: tuple, max_len: int = DEFA
 
 
 class TLElement:
-    """A finite linear combination FcWord -> Scalar over one graph.
+    """A finite linear combination of basis words, canonical letter tuples
+    -> Scalar, over one graph.
 
     Treat instances as immutable; several caches hand out shared objects.
     """
@@ -124,11 +126,11 @@ class TLElement:
 
     @classmethod
     def one(cls, graph) -> "TLElement":
-        return cls(graph, {FcWord(graph, ()): ONE})
+        return cls(graph, {(): ONE})
 
     @classmethod
     def monomial(cls, graph, letters, coeff: Scalar = ONE) -> "TLElement":
-        return cls(graph, {FcWord.from_letters(graph, letters): coeff})
+        return cls(graph, {fc_word(graph, letters): coeff})
 
     # -- linear structure ----------------------------------------------------
 
@@ -188,11 +190,10 @@ class TLElement:
         return not self.terms
 
     def coeff(self, letters) -> Scalar:
-        key = FcWord(self.graph, _cartier_foata_letters(self.graph, tuple(letters)))
-        return self.terms.get(key, Scalar(()))
+        return self.terms.get(_cartier_foata_letters(self.graph, letters), Scalar(()))
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda t: t[0].sort_key())
+        return sorted(self.terms.items(), key=_term_key)
 
     def __repr__(self):
         return f"TLElement({self.graph}, {format_element(self)})"
@@ -201,20 +202,34 @@ class TLElement:
         return format_element(self)
 
 
-def multiply(x: TLElement, y: TLElement, *, max_len: int = DEFAULT_MAX_LEN) -> TLElement:
-    """Bilinear product; per basis pair the words concatenate and rewrite
-    through :func:`word_product`."""
-    x._require_same_graph(y)
-    g = x.graph
+def _term_key(term):
+    """Terms sort by the length of their word, then by its letters."""
+    return len(term[0]), term[0]
+
+
+def _product(g: CoxeterGraph, x: dict, y: dict, scale, max_len: int) -> dict:
+    """The bilinear product of two term dicts over ``g``: per basis pair the
+    words multiply through :func:`word_product`, and the coefficient is
+    ``scale(cx * cy, loops, squares)``.  Zero terms are dropped."""
     out: dict = {}
-    for wx, cx in x.terms.items():
-        for wy, cy in y.terms.items():
-            loops, _, word = word_product(g, wx.letters, wy.letters, max_len)
-            w = FcWord(g, word)
-            c = cx * cy * delta_pow(loops)
+    for wx, cx in x.items():
+        for wy, cy in y.items():
+            loops, squares, w = word_product(g, wx, wy, max_len)
+            c = scale(cx * cy, loops, squares)
             acc = out.get(w)
             out[w] = c if acc is None else acc + c
-    return TLElement(g, out)
+    return {w: c for w, c in out.items() if c}
+
+
+def _f_scale(c: Scalar, loops: int, squares: int) -> Scalar:
+    """c DELTA^loops: ``c`` times the factor of an f-basis monomial product."""
+    return c * delta_pow(loops)
+
+
+def multiply(x: TLElement, y: TLElement, *, max_len: int = DEFAULT_MAX_LEN) -> TLElement:
+    """Bilinear product in the f-basis."""
+    x._require_same_graph(y)
+    return TLElement(x.graph, _product(x.graph, x.terms, y.terms, _f_scale, max_len))
 
 
 # ---------------------------------------------------------------------------
@@ -230,21 +245,14 @@ def e_scale(c: Laurent, loops: int, squares: int) -> Laurent:
 
 
 def e_multiply(g: CoxeterGraph, x: dict, y: dict, max_len: int = DEFAULT_MAX_LEN) -> dict:
-    """Product of two e-elements over ``g``; zero terms are dropped."""
-    out: dict = {}
-    for wx, cx in x.items():
-        for wy, cy in y.items():
-            loops, squares, w = word_product(g, wx, wy, max_len)
-            c = e_scale(cx * cy, loops, squares)
-            acc = out.get(w)
-            out[w] = c if acc is None else acc + c
-    return {w: c for w, c in out.items() if c}
+    """Product of two e-elements over ``g``."""
+    return _product(g, x, y, e_scale, max_len)
 
 
 def e_to_element(g: CoxeterGraph, x: dict) -> TLElement:
     """The f-basis element of an e-element: e_w = (1+q)^|w| f_w."""
     return TLElement(g, {
-        FcWord(g, w): (c * qp1_laurent_pow(len(w))).to_scalar() for w, c in x.items()
+        w: (c * qp1_laurent_pow(len(w))).to_scalar() for w, c in x.items()
     })
 
 
@@ -279,16 +287,16 @@ def gen(style: str, s: int, graph: CoxeterGraph) -> TLElement:
     """
     graph.check_letter(s)
     if style == "f":
-        return TLElement(graph, {FcWord(graph, (s,)): ONE})
+        return TLElement(graph, {(s,): ONE})
     system, sign = style.removesuffix("_inv"), -1 if style.endswith("_inv") else 1
     if (system, sign) not in E_GENERATORS:
         raise ValueError(f"unknown generator style {style!r}")
     return e_to_element(graph, e_word(graph, system, [(s, sign)]))
 
 
-def from_g_word(w: FcWord) -> TLElement:
+def from_g_word(g: CoxeterGraph, w: tuple) -> TLElement:
     """The product of g-generators along the word, expanded in the f-basis."""
-    return e_to_element(w.graph, e_word(w.graph, "g", [(s, 1) for s in w.letters]))
+    return e_to_element(g, e_word(g, "g", [(s, 1) for s in w]))
 
 
 def to_g_basis(x: TLElement) -> dict:
@@ -297,10 +305,9 @@ def to_g_basis(x: TLElement) -> dict:
     rem = dict(x.terms)
     out: dict = {}
     while rem:
-        w = max(rem, key=lambda u: u.sort_key())
-        lead = rem[w] / qp1_pow(len(w))
-        out[w] = lead
-        for u, cu in from_g_word(w).terms.items():
+        w, c = max(rem.items(), key=_term_key)
+        out[w] = lead = c / qp1_pow(len(w))
+        for u, cu in from_g_word(x.graph, w).terms.items():
             c = rem.get(u, Scalar(())) - lead * cu
             if c.is_zero():
                 rem.pop(u, None)
@@ -313,20 +320,12 @@ def psi(x: TLElement, d: int = 1) -> TLElement:
     """Rotate every basis word around the affine cycle; an automorphism."""
     if not x.graph.is_affine:
         raise RankMismatch("psi is only defined on affine graphs")
-    out: dict = {}
-    for w, c in x.terms.items():
-        u = _rotate_word(w, d)
-        out[u] = out.get(u, Scalar(())) + c
-    return TLElement(x.graph, out)
+    return TLElement(x.graph, {_rotate_word(x.graph, w, d): c for w, c in x.terms.items()})
 
 
 def chi(x: TLElement) -> TLElement:
     """Reverse every basis word and bar every coefficient; an involution."""
-    out: dict = {}
-    for w, c in x.terms.items():
-        u = _reverse_word(w)
-        out[u] = out.get(u, Scalar(())) + c.bar()
-    return TLElement(x.graph, out)
+    return TLElement(x.graph, {_reverse_word(x.graph, w): c.bar() for w, c in x.terms.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +335,7 @@ def chi(x: TLElement) -> TLElement:
 def format_element(x: TLElement, basis: str = "f") -> str:
     """``term (+ term)*`` with ``term = (scalar)*[letters]``; "0" when empty."""
     if basis == "g":
-        terms = sorted(to_g_basis(x).items(), key=lambda t: t[0].sort_key())
+        terms = sorted(to_g_basis(x).items(), key=_term_key)
     elif basis == "f":
         terms = x.sorted_terms()
     else:
@@ -345,7 +344,7 @@ def format_element(x: TLElement, basis: str = "f") -> str:
         return "0"
     parts = []
     for w, c in terms:
-        body = str(w)
+        body = word_text(x.graph, w)
         parts.append(body if c.is_one() else f"({c})*{body}")
     return " + ".join(parts)
 
@@ -415,7 +414,7 @@ def parse_element(text: str, graph: CoxeterGraph) -> TLElement:
 
 def element_to_json(x: TLElement) -> list:
     return [
-        {"coeff": str(c), "word": [x.graph.letter_name(s) for s in w.letters]}
+        {"coeff": str(c), "word": [x.graph.letter_name(s) for s in w]}
         for w, c in x.sorted_terms()
     ]
 

@@ -20,8 +20,8 @@ from .algebra import (
     parse_element,
     reduce_letters,
 )
-from .coxeter import FcWord, _cartier_foata_letters, affine, enumerate_fc, parse_word, path
-from .errors import ParseError
+from .coxeter import _cartier_foata_letters, affine, enumerate_fc, parse_word, path, word_text
+from .errors import LengthLimitExceeded, ParseError
 from .morphisms import parse_braid
 from .scalars import delta_pow
 from .traces import invariant, jones_trace, rho
@@ -99,6 +99,9 @@ def cmd_multiply(args) -> int:
     for arg in args.elements:
         for factor in _split_product(arg):
             x = parse_element(factor, g)
+            longest = max(map(len, x.terms), default=0)
+            if longest > args.max_len:
+                raise LengthLimitExceeded(f"word of length {longest} exceeds cap {args.max_len}")
             out = x if out is None else multiply(out, x, max_len=args.max_len)
     text = format_element(out, basis=args.basis)
     _emit(
@@ -113,12 +116,12 @@ def cmd_reduce(args) -> int:
     g = _graph(args)
     letters = parse_word(g, args.word)
     loops, word = reduce_letters(g, letters, max_len=args.max_len)
-    w = FcWord(g, _cartier_foata_letters(g, word))
-    scalar = delta_pow(loops)
-    text = str(w) if scalar.is_one() else f"{scalar} * {w}"
+    w = _cartier_foata_letters(g, word)
+    scalar, body = delta_pow(loops), word_text(g, w)
+    text = body if scalar.is_one() else f"{scalar} * {body}"
     _emit(
         args,
-        {"input": args.word, "scalar": str(scalar), "word": [g.letter_name(s) for s in w.letters]},
+        {"input": args.word, "scalar": str(scalar), "word": [g.letter_name(s) for s in w]},
         text,
     )
     return 0
@@ -128,10 +131,10 @@ def cmd_enumerate(args) -> int:
     g = _graph(args)
     words = enumerate_fc(g, args.max_len)
     if args.format == "json":
-        print(json.dumps([[g.letter_name(s) for s in w.letters] for w in words]))
+        print(json.dumps([[g.letter_name(s) for s in w] for w in words]))
     else:
         for w in words:
-            print(w)
+            print(word_text(g, w))
     return 0
 
 
@@ -161,23 +164,32 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+def _at_least(lo: int):
+    """An argparse type: an int no smaller than ``lo``."""
+    def count(text: str) -> int:
+        if (n := int(text)) < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, not {n}")
+        return n
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="affinetl")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, typed=True, capped=True):
-        p.add_argument("--gens", type=int, default=2, help="generator count")
+    def common(p, typed=True, capped=True, gens=int):
+        p.add_argument("--gens", type=gens, default=2, help="generator count")
         if typed:
             p.add_argument("--type", choices=("affine", "classical"), default="affine")
         p.add_argument("--format", choices=("text", "json"), default="text")
         if capped:
-            p.add_argument("--max-len", type=int, default=DEFAULT_MAX_LEN)
+            p.add_argument("--max-len", type=_at_least(0), default=DEFAULT_MAX_LEN)
 
     p = sub.add_parser("invariant", help="link invariant of braid-word closures")
-    common(p, typed=False)
+    common(p, typed=False, gens=_at_least(2))
     p.add_argument("words", nargs="*", help="braid words, e.g. 's1 s1 s1'")
     p.add_argument("--file", help="newline-delimited braid words")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_at_least(1), default=1)
     p.set_defaults(fn=cmd_invariant)
 
     p = sub.add_parser("trace", help="Markov trace of an element")

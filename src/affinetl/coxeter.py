@@ -13,9 +13,9 @@ exactly one of three classes:
                  at the algebra level,
 - free:          neither (only the affine cycle on 2 generators has these).
 
-An :class:`FcWord` is the canonical representative of the commutation class
-of a reduced word of an FC element: its Cartier-Foata normal form under the
-total order 0 < 1 < ... < m-1.
+A basis word is the canonical representative of the commutation class of a
+reduced word of an FC element, as a tuple of letters: its Cartier-Foata
+normal form under the total order 0 < 1 < ... < m-1 (see :func:`fc_word`).
 """
 from __future__ import annotations
 
@@ -157,54 +157,23 @@ def fc_check(g: CoxeterGraph, word) -> bool:
     return _rightmost_redex(_comm_table(g), _adj_table(g), tuple(word)) is None
 
 
-class FcWord:
-    """Canonical (Cartier-Foata) reduced word of a fully commutative element.
+def fc_word(g: CoxeterGraph, letters) -> tuple[int, ...]:
+    """The canonical (Cartier-Foata) letters of a redex-free word.
 
-    >>> w = FcWord.from_letters(path(3), [2, 0, 1])
-    >>> w.letters
+    >>> fc_word(path(3), [2, 0, 1])
     (0, 2, 1)
-    >>> str(w)
+    >>> word_text(path(3), (0, 2, 1))
     '[s1 s3 s2]'
     """
+    letters = tuple(letters)
+    if not fc_check(g, letters):
+        raise NotFcWord(f"word {letters} has a redex on {g}")
+    return _cartier_foata_letters(g, letters)
 
-    __slots__ = ("graph", "letters")
 
-    def __init__(self, graph: CoxeterGraph, letters: tuple[int, ...]):
-        # trusted constructor: letters must already be canonical
-        self.graph = graph
-        self.letters = letters
-
-    @classmethod
-    def from_letters(cls, graph: CoxeterGraph, letters) -> "FcWord":
-        letters = tuple(letters)
-        if not fc_check(graph, letters):
-            raise NotFcWord(f"word {letters} has a redex on {graph}")
-        return cls(graph, _cartier_foata_letters(graph, letters))
-
-    def __len__(self):
-        return len(self.letters)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FcWord)
-            and self.graph == other.graph
-            and self.letters == other.letters
-        )
-
-    def __hash__(self):
-        return hash((self.graph, self.letters))
-
-    def sort_key(self):
-        return (len(self.letters), self.letters)
-
-    def __lt__(self, other):
-        return self.sort_key() < other.sort_key()
-
-    def __str__(self):
-        return "[" + " ".join(self.graph.letter_name(s) for s in self.letters) + "]"
-
-    def __repr__(self):
-        return f"FcWord({self.graph}, {self})"
+def word_text(g: CoxeterGraph, letters) -> str:
+    """The text form of a word, such as ``[s1 a]``."""
+    return "[" + " ".join(g.letter_name(s) for s in letters) + "]"
 
 
 def _cartier_foata_letters(g: CoxeterGraph, letters) -> tuple[int, ...]:
@@ -228,22 +197,21 @@ def _cartier_foata_letters(g: CoxeterGraph, letters) -> tuple[int, ...]:
     return tuple(out)
 
 
-def rotate(w: FcWord, d: int) -> FcWord:
+def rotate(g: CoxeterGraph, w: tuple, d: int) -> tuple:
     """Shift every letter by d around the affine cycle and re-canonicalize."""
-    if not w.graph.is_affine:
+    if not g.is_affine:
         raise RankMismatch("rotate is only defined on affine graphs")
-    m = w.graph.gens
-    return FcWord(w.graph, _cartier_foata_letters(w.graph, tuple((s + d) % m for s in w.letters)))
+    return _cartier_foata_letters(g, tuple((s + d) % g.gens for s in w))
 
 
-def reverse(w: FcWord) -> FcWord:
+def reverse(g: CoxeterGraph, w: tuple) -> tuple:
     """Reverse the word and re-canonicalize; an involution."""
-    return FcWord(w.graph, _cartier_foata_letters(w.graph, tuple(reversed(w.letters))))
+    return _cartier_foata_letters(g, w[::-1])
 
 
 def enumerate_fc(g: CoxeterGraph, maxlen: int, limit: int = ENUM_LIMIT):
-    """One canonical FcWord per FC element of length <= maxlen, ordered by
-    length then lexicographically.
+    """The canonical letters of each FC element of length <= maxlen, ordered
+    by length then lexicographically.
 
     >>> [len(w) for w in enumerate_fc(path(2), 3)]
     [0, 1, 1, 2, 2]
@@ -253,7 +221,7 @@ def enumerate_fc(g: CoxeterGraph, maxlen: int, limit: int = ENUM_LIMIT):
     if maxlen > limit:
         raise LengthLimitExceeded(f"maxlen {maxlen} exceeds the limit {limit}")
     comm, adj = _comm_table(g), _adj_table(g)
-    out = [FcWord(g, ())]
+    out = [()]
     level = {(): None}
     for _ in range(maxlen):
         nxt = {}
@@ -262,7 +230,7 @@ def enumerate_fc(g: CoxeterGraph, maxlen: int, limit: int = ENUM_LIMIT):
                 if _rightmost_redex(comm, adj, word + (s,)) is None:
                     nxt[_cartier_foata_letters(g, word + (s,))] = None
         level = nxt
-        out.extend(FcWord(g, w) for w in sorted(level))
+        out.extend(sorted(level))
     return out
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .algebra import DEFAULT_MAX_LEN, TLElement, e_multiply, e_to_element, e_word
-from .coxeter import CoxeterGraph, FcWord, affine, path
+from .coxeter import CoxeterGraph, affine, path
 from .errors import InvalidGenerator, ParseError, RankMismatch
 from .scalars import L_ONE, L_ZERO, qp1_laurent_pow, qp1_pow
 
@@ -79,14 +79,9 @@ def parse_braid(text: str, gens: int) -> BraidWord:
     return BraidWord(gens, tuple(letters))
 
 
-def _braid_image_e(b: BraidWord, max_len: int = DEFAULT_MAX_LEN) -> dict:
-    """Image of a braid word as an e-element: a product of T-generators."""
-    return e_word(b.graph, "T", b.letters, max_len)
-
-
 def braid_image(b: BraidWord, max_len: int = DEFAULT_MAX_LEN) -> TLElement:
     """Image of a braid word in the affine algebra through T-generators."""
-    return e_to_element(b.graph, _braid_image_e(b, max_len))
+    return e_to_element(b.graph, e_word(b.graph, "T", b.letters, max_len))
 
 
 def braid_lift(b: BraidWord) -> BraidWord:
@@ -148,12 +143,12 @@ def _apply_map(kind: str, x: TLElement) -> TLElement:
     out: dict = {}
     for w, c in x.terms.items():
         c = c / qp1_pow(len(w))
-        for u, d in _f_image(kind, m, w.letters).items():
+        for u, d in _f_image(kind, m, w).items():
             # the f_u coefficient of the image of e_w is d (1+q)^|u|
             t = c * (d * qp1_laurent_pow(len(u))).to_scalar()
             acc = out.get(u)
             out[u] = t if acc is None else acc + t
-    return TLElement(tgt, {FcWord(tgt, u): c for u, c in out.items()})
+    return TLElement(tgt, out)
 
 
 def F_map(x: TLElement) -> TLElement:
@@ -167,27 +162,16 @@ def E_map(x: TLElement) -> TLElement:
     return _apply_map("E", x)
 
 
-def _cast_words(x: TLElement, tgt: CoxeterGraph) -> TLElement:
-    """Reinterpret every basis word over a graph with the same commutation
-    pattern on the shared letters (plain-letter inclusions only)."""
-    out = {}
-    for w, c in x.terms.items():
-        for s in w.letters:
-            tgt.check_letter(s)
-        out[FcWord(tgt, w.letters)] = c
-    return TLElement(tgt, out)
-
-
 def include(x: TLElement) -> TLElement:
     """The classical algebra on n generators inside the affine one on n+1;
     basis words are unchanged."""
     if x.graph.is_affine:
         raise RankMismatch("include expects a classical-algebra element")
-    return _cast_words(x, affine(x.graph.gens + 1))
+    return TLElement(affine(x.graph.gens + 1), x.terms)
 
 
 def widen(x: TLElement, n: int) -> TLElement:
     """Classical inclusion path(m) -> path(n) for n >= m, letters unchanged."""
     if x.graph.is_affine or n < x.graph.gens:
         raise RankMismatch("widen expects a classical element and a larger rank")
-    return _cast_words(x, path(n))
+    return TLElement(path(n), x.terms)

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
-from .algebra import DEFAULT_MAX_LEN, TLElement, e_scale, multiply, reduce_letters
-from .coxeter import FcWord, _cartier_foata_letters, affine, path
+from .algebra import DEFAULT_MAX_LEN, TLElement, e_scale, e_word, multiply, word_product
+from .coxeter import CoxeterGraph, affine, path, rotate, word_text
 from .errors import (
     InvalidGenerator,
     LengthLimitExceeded,
@@ -34,7 +34,7 @@ from .errors import (
     RankMismatch,
     SingularSystem,
 )
-from .morphisms import BraidWord, _braid_image_e, _f_image
+from .morphisms import BraidWord, _f_image
 from .scalars import DELTA, L_ONE, L_ZERO, ONE, Q, V, Laurent, Scalar, qp1_pow
 
 # the trace factors of the integral monomials e_w = (1+q)^|w| f_w:
@@ -51,7 +51,7 @@ def _trace_sum(x: TLElement, value) -> Scalar:
     value(w) is the Laurent trace of the integral monomial e_w."""
     out = Scalar(())
     for w, c in x.terms.items():
-        out = out + c / qp1_pow(len(w)) * value(w.letters).to_scalar()
+        out = out + c / qp1_pow(len(w)) * value(w).to_scalar()
     return out
 
 
@@ -82,11 +82,8 @@ def _trace_f_word(n: int, letters: tuple[int, ...]) -> Laurent:
     if len(top) > 1:
         raise NotFcWord(f"top generator repeated in the path word {letters}")
     i = top[0]
-    g = path(n - 1)
-    flanks = letters[:i] + letters[i + 1:]
-    loops, word = reduce_letters(g, flanks)
-    value = _trace_f_word(n - 1, _cartier_foata_letters(g, word))
-    return e_scale(_E_SPLIT * value, loops, len(flanks) - len(word) - 2 * loops)
+    loops, squares, word = word_product(path(n - 1), letters[:i], letters[i + 1:])
+    return e_scale(_E_SPLIT * _trace_f_word(n - 1, word), loops, squares)
 
 
 @lru_cache(maxsize=None)
@@ -126,7 +123,7 @@ def invariant(b: BraidWord, max_len: int = DEFAULT_MAX_LEN) -> Scalar:
     """
     m = b.gens
     out = L_ZERO
-    for w, c in _braid_image_e(b, max_len).items():
+    for w, c in e_word(b.graph, "T", b.letters, max_len).items():
         out = out + c * _rho_word(m, w)
     return out.to_scalar()
 
@@ -200,19 +197,18 @@ def _orbit_index(length: int) -> dict:
     ):
         raw = base * k + prefixes[rem]
         for d in range(3):
-            rotated = tuple((s + d) % 3 for s in raw)
-            table[_cartier_foata_letters(g, rotated)] = (family, k, rem)
+            table[rotate(g, raw, d)] = (family, k, rem)
     return table
 
 
-def classify_orbit3(w: FcWord) -> tuple[str, int, int]:
+def classify_orbit3(g: CoxeterGraph, w: tuple) -> tuple[str, int, int]:
     """Which rotation-orbit family a rank-3 basis word of length >= 3 is in,
     together with (k, rem) where the length is 3k + rem."""
-    if w.graph != affine(3) or len(w) < 3:
+    if g != affine(3) or len(w) < 3:
         raise RankMismatch("classification needs a rank-3 word of length >= 3")
-    hit = _orbit_index(len(w)).get(w.letters)
+    hit = _orbit_index(len(w)).get(w)
     if hit is None:
-        raise NotClassifiable(f"word {w} fits neither rotation-orbit family")
+        raise NotClassifiable(f"word {word_text(g, w)} fits neither rotation-orbit family")
     return hit
 
 
@@ -224,7 +220,7 @@ def _slots3(x: TLElement) -> dict:
     for w, c in x.terms.items():
         slot = len(w)
         if slot > 2:
-            family, k, rem = classify_orbit3(w)
+            family, k, rem = classify_orbit3(x.graph, w)
             slot = (family, k)
             if rem == 2:
                 c = DELTA * c
@@ -253,15 +249,15 @@ def generic_trace3(p: TraceParamsTL3, x: TLElement) -> Scalar:
 # the rank-3 product machinery and the parameter solver
 
 
-def build_xz(i: int, max_len: int = DEFAULT_MAX_LEN) -> tuple[TLElement, TLElement]:
+def build_xz(i: int) -> tuple[TLElement, TLElement]:
     """The pair (x_i, z_i) of rank-3 elements whose powers of index 1 span
     the image of the rank-2 algebra under the tower step.
 
     x_1 is the tower image of the product of the two rank-2 generators;
     z_i is the image of x_i under chi (word reversal with q -> 1/q).
     """
-    if 3 * i + 2 > max_len:
-        raise LengthLimitExceeded(f"index {i} needs words longer than the cap {max_len}")
+    if 3 * i + 2 > DEFAULT_MAX_LEN:
+        raise LengthLimitExceeded(f"index {i} needs words longer than the cap {DEFAULT_MAX_LEN}")
     g = affine(3)
     ratio = (ONE + Q) / Q
     plain = ONE + Q
@@ -296,7 +292,7 @@ def _solve_slot(elem: TLElement, rhs: Scalar, target: tuple, B, known: dict) -> 
     return (rhs - acc) / unknown_coeff
 
 
-def solve_alpha_beta(kmax: int, max_len: int = DEFAULT_MAX_LEN):
+def solve_alpha_beta(kmax: int):
     """Solve for the trace values on the long basis words at ranks 2 and 3.
 
     Returns ``(alphas, betas, beta_revs)``, each a list of length kmax:
@@ -316,14 +312,14 @@ def solve_alpha_beta(kmax: int, max_len: int = DEFAULT_MAX_LEN):
         rho(TLElement.monomial(g3, (0,))),
         rho(TLElement.monomial(g3, (0, 1))),
     ]
-    x1, z1 = build_xz(1, max_len)
+    x1, z1 = build_xz(1)
     f2 = TLElement.monomial(g3, (1,))
     known: dict = {}
     betas, beta_revs = [], []
     x_side, z_side = f2, f2
     for k in range(1, kmax + 1):
-        x_side = multiply(x1, x_side, max_len=max_len)
-        z_side = multiply(z_side, z1, max_len=max_len)
+        x_side = multiply(x1, x_side)
+        z_side = multiply(z_side, z1)
         rhs = -(V / (ONE + Q)) * alphas[k - 1]
         known[("rev", k)] = _solve_slot(x_side, rhs, ("rev", k), B, known)
         known[("fwd", k)] = _solve_slot(z_side, rhs, ("fwd", k), B, known)

@@ -26,12 +26,12 @@ from .algebra import (
 )
 from .coxeter import (
     CoxeterGraph,
-    FcWord,
     _adj_table,
     _cartier_foata_letters,
     _comm_table,
     _rightmost_redex,
     affine,
+    fc_word,
     path,
 )
 from .morphisms import BraidWord, E_map, F_map, braid_lift, include, widen
@@ -169,9 +169,8 @@ def confluent(x: TLElement, y: TLElement, rng: random.Random) -> bool:
     one whole-word reduction and by a random redex order."""
     g = x.graph
     ok = True
-    for wx in x.terms:
-        for wy in y.terms:
-            left, right = wx.letters, wy.letters
+    for left in x.terms:
+        for right in y.terms:
             loops, _, word = word_product(g, left, right)
             folds, folded = 0, right
             for s in reversed(left):
@@ -397,7 +396,7 @@ def check_twist(ranks) -> list[CheckResult]:
     ok = True
     for m in ranks:
         src, tgt = affine(m - 1), affine(m)
-        c = from_g_word(FcWord.from_letters(tgt, tuple(range(m - 2, -1, -1)) + (m - 1,)))
+        c = from_g_word(tgt, fc_word(tgt, tuple(range(m - 2, -1, -1)) + (m - 1,)))
         for s in range(m - 1):
             lhs = multiply(c, F_map(gen("g", s, src)))
             rhs = multiply(F_map(gen("g", (s - 1) % (m - 1), src)), c)

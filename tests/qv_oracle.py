@@ -20,7 +20,6 @@ from affinetl import (
     ONE,
     Q,
     V,
-    FcWord,
     Scalar,
     TLElement,
     affine,
@@ -45,7 +44,7 @@ GENERATORS = {
 
 def gen(style: str, s: int, graph) -> TLElement:
     mono, unit = GENERATORS[style]
-    return TLElement(graph, {FcWord(graph, (s,)): mono, FcWord(graph, ()): unit})
+    return TLElement(graph, {(s,): mono, (): unit})
 
 
 @lru_cache(maxsize=None)
@@ -62,10 +61,10 @@ def to_g_basis(x: TLElement) -> dict:
     rem = dict(x.terms)
     out: dict = {}
     while rem:
-        w = max(rem, key=lambda u: u.sort_key())
+        w = max(rem, key=lambda u: (len(u), u))
         lead = rem[w] / qp1_pow(len(w))
         out[w] = lead
-        for u, cu in g_word_element(x.graph, w.letters).terms.items():
+        for u, cu in g_word_element(x.graph, w).terms.items():
             c = rem.get(u, Scalar(())) - lead * cu
             if c.is_zero():
                 rem.pop(u, None)
@@ -103,7 +102,7 @@ def apply_map(kind: str, x: TLElement) -> TLElement:
     m = x.graph.gens
     out = TLElement.zero(f_gen_images(kind, m)[0])
     for w, c in x.terms.items():
-        out = out + f_image(kind, m, w.letters).scale(c)
+        out = out + f_image(kind, m, w).scale(c)
     return out
 
 
@@ -131,7 +130,7 @@ def trace_f_word(n: int, letters: tuple) -> Scalar:
 def jones_trace(x: TLElement) -> Scalar:
     out = Scalar(())
     for w, c in x.terms.items():
-        out = out + c * trace_f_word(x.graph.gens, w.letters)
+        out = out + c * trace_f_word(x.graph.gens, w)
     return out
 
 
@@ -150,12 +149,12 @@ def trace_g_word(n: int, letters: tuple) -> Scalar:
     product = multiply(g_word_element(g, letters[:i]), g_word_element(g, letters[i + 1:]))
     out = Scalar(())
     for w, c in to_g_basis(product).items():
-        out = out + c * trace_g_word(n - 1, w.letters)
+        out = out + c * trace_g_word(n - 1, w)
     return out / V
 
 
 def jones_trace_g_route(x: TLElement) -> Scalar:
     out = Scalar(())
     for w, c in to_g_basis(x).items():
-        out = out + c * trace_g_word(x.graph.gens, w.letters)
+        out = out + c * trace_g_word(x.graph.gens, w)
     return out

@@ -81,7 +81,7 @@ def test_c02_basis_dimension_oracle():
         assert len(words) == total
         seen = {}
         for w in words:
-            p = apply_word(n + 1, w.letters)
+            p = apply_word(n + 1, w)
             assert inversions(p) == len(w)
             assert avoids_321(p)
             assert p not in seen

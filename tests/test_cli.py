@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -127,6 +128,49 @@ def test_multiply_caps_juxtaposed_factors(capsys):
         code, out, err = run(capsys, "multiply", "--gens", "3", "--max-len", "2", *argv)
         assert code == 2 and out == ""
         assert "exceeds cap 2" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["invariant", "--max-len", "-1", "s1"],
+    ["multiply", "--max-len", "-1", "[s1]"],
+    ["reduce", "--max-len", "-1", "s1"],
+    ["enumerate-fc", "--gens", "3", "--max-len", "-1"],
+])
+def test_negative_max_len_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "argument --max-len" in capsys.readouterr().err
+
+
+def test_multiply_caps_input_words(capsys):
+    for argv in (["[s1 s2 a]", "[]"], ["[s1 s2 a]"], ["[s1] + [s1 s2 a]"]):
+        code, out, err = run(capsys, "multiply", "--gens", "3", "--max-len", "2", *argv)
+        assert code == 2 and out == ""
+        assert "word of length 3 exceeds cap 2" in err
+    code, out, _ = run(capsys, "multiply", "--gens", "3", "--max-len", "3", "[s1 s2 a]", "[]")
+    assert code == 0 and out.strip() == "[s1 s2 a]"
+
+
+class UnreadableStdin:
+    """A piped stdin that fails the test when it is read."""
+
+    def isatty(self):
+        return False
+
+    def __iter__(self):
+        raise AssertionError("stdin was read")
+
+
+@pytest.mark.parametrize("flag, value", [("--gens", "1"), ("--jobs", "0"), ("--jobs", "-4")])
+def test_invariant_checks_options_before_reading_input(capsys, monkeypatch, flag, value):
+    monkeypatch.setattr(sys, "stdin", UnreadableStdin())
+    for words in ([], ["s1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["invariant", flag, value, *words])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}" in err and "line 1" not in err
 
 
 def test_verify_rejects_meaningless_sizes(capsys):

@@ -142,4 +142,4 @@ def test_rho_rank4_matches_independent_oracle():
     assert len(words) == 83
     for w in words:
         engine = rho(TLElement(g4, {w: ONE}))
-        assert engine == rho4_oracle(w.letters), str(w)
+        assert engine == rho4_oracle(w), str(w)

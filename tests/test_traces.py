@@ -18,7 +18,6 @@ from affinetl import (
     ONE,
     Q,
     V,
-    FcWord,
     RankMismatch,
     Scalar,
     TLElement,
@@ -29,6 +28,7 @@ from affinetl import (
     chi,
     classify_orbit3,
     enumerate_fc,
+    fc_word,
     from_g_word,
     gen,
     generic_trace2,
@@ -173,7 +173,7 @@ def test_engine_products_match_table_oracle():
     # the rewriting multiplication agrees with the independent table algebra
     # on every pair of basis words of the classical two-generator algebra
     p2 = path(2)
-    words = [w.letters for w in enumerate_fc(p2, 3)]
+    words = enumerate_fc(p2, 3)
     assert len(words) == 5
     inv_qp1 = (ONE + Q).inv()
 
@@ -186,7 +186,7 @@ def test_engine_products_match_table_oracle():
     def to_table(elem):
         out: dict = {}
         for w, c in elem.terms.items():
-            for u, cu in f_image(w.letters).items():
+            for u, cu in f_image(w).items():
                 out[u] = out.get(u, Scalar(())) + c * cu
         return {u: c for u, c in out.items() if not c.is_zero()}
 
@@ -258,7 +258,7 @@ def test_rho_short_values():
 def test_rho_matches_table_oracle_on_all_short_words():
     for w in enumerate_fc(affine(3), 9):
         assert_scalar_equal(
-            rho(TLElement(affine(3), {w: ONE})), rho3_oracle(w.letters), str(w)
+            rho(TLElement(affine(3), {w: ONE})), rho3_oracle(w), str(w)
         )
 
 
@@ -308,21 +308,21 @@ def test_generic_trace2_rotation_invariance(rng):
 def test_orbit_classification():
     g3 = affine(3)
     fwd, rev = (0, 1, 2), (1, 0, 2)
-    assert classify_orbit3(FcWord.from_letters(g3, fwd)) == ("fwd", 1, 0)
-    assert classify_orbit3(FcWord.from_letters(g3, rev)) == ("rev", 1, 0)
-    assert classify_orbit3(FcWord.from_letters(g3, fwd + (0,))) == ("fwd", 1, 1)
-    assert classify_orbit3(FcWord.from_letters(g3, fwd + (0, 1))) == ("fwd", 1, 2)
-    assert classify_orbit3(FcWord.from_letters(g3, (0, 2, 1))) == ("rev", 1, 0)
+    assert classify_orbit3(g3, fc_word(g3, fwd)) == ("fwd", 1, 0)
+    assert classify_orbit3(g3, fc_word(g3, rev)) == ("rev", 1, 0)
+    assert classify_orbit3(g3, fc_word(g3, fwd + (0,))) == ("fwd", 1, 1)
+    assert classify_orbit3(g3, fc_word(g3, fwd + (0, 1))) == ("fwd", 1, 2)
+    assert classify_orbit3(g3, fc_word(g3, (0, 2, 1))) == ("rev", 1, 0)
     # every enumerated word of length >= 3 classifies, covering both families
     seen = set()
     for w in enumerate_fc(affine(3), 11):
         if len(w) >= 3:
-            family, k, rem = classify_orbit3(w)
+            family, k, rem = classify_orbit3(g3, w)
             assert 3 * k + rem == len(w)
             seen.add((family, rem))
     assert seen == {(f, r) for f in ("fwd", "rev") for r in (0, 1, 2)}
     with pytest.raises(RankMismatch):
-        classify_orbit3(FcWord.from_letters(g3, (0,)))
+        classify_orbit3(g3, fc_word(g3, (0,)))
 
 
 def test_generic_trace3_value_table():
@@ -522,9 +522,9 @@ def test_braid_pipeline_makes_no_gcd(monkeypatch, rng):
     graphs = (affine(2), affine(3), path(3))
     gens = [(style, s, g) for g in graphs for s in range(g.gens)
             for style in ("f", "g", "g_inv", "T", "T_inv")]
-    words = [w for g in graphs for w in enumerate_fc(g, 4)]
+    words = [(g, w) for g in graphs for w in enumerate_fc(g, 4)]
     expected_gens = [gen(*args) for args in gens]
-    expected_words = [from_g_word(w) for w in words]
+    expected_words = [from_g_word(g, w) for g, w in words]
 
     def no_gcd(a, b):
         raise AssertionError("polynomial gcd on the e-basis route")
@@ -537,6 +537,6 @@ def test_braid_pipeline_makes_no_gcd(monkeypatch, rng):
         assert braid_image(b) == image
         assert invariant(b) == value
     assert [gen(*args) for args in gens] == expected_gens
-    assert [from_g_word(w) for w in words] == expected_words
+    assert [from_g_word(g, w) for g, w in words] == expected_words
     with pytest.raises(AssertionError, match="gcd"):
         (ONE + Q) / (ONE + V)  # the patch is live for Q(v) arithmetic
