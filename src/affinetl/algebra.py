@@ -28,16 +28,15 @@ from __future__ import annotations
 
 from .coxeter import (
     CoxeterGraph,
-    _adj_table,
     _cartier_foata_letters,
-    _comm_table,
     _rightmost_redex,
+    _tables,
     fc_word,
     rotate as _rotate_word,
     reverse as _reverse_word,
     word_text,
 )
-from .errors import LengthLimitExceeded, ParseError, RankMismatch
+from .errors import LengthLimitExceeded, NotFcWord, ParseError, RankMismatch
 from .scalars import (
     L_ONE,
     ONE,
@@ -56,49 +55,53 @@ DEFAULT_MAX_LEN = 64
 # word rewriting
 
 
-def reduce_letters(g: CoxeterGraph, letters, max_len: int = DEFAULT_MAX_LEN):
-    """Rewrite a raw word to its normal form.
+def _check_len(n: int, max_len: int):
+    if n > max_len:
+        raise LengthLimitExceeded(f"word of length {n} exceeds cap {max_len}")
 
-    Returns ``(k, word)`` with the input monomial equal to DELTA^k times the
-    monomial of the reduced word.  Each step applies the rightmost redex;
-    the result does not depend on that choice, since the rewriting is
-    confluent.
-    """
-    if len(letters) > max_len:
-        raise LengthLimitExceeded(f"word of length {len(letters)} exceeds cap {max_len}")
-    for s in letters:
-        g.check_letter(s)
-    comm, adj = _comm_table(g), _adj_table(g)
-    word = list(letters)
+
+def _reduce(tables, word: list) -> int:
+    """Apply the rightmost redex of ``word``, in place, until none is left;
+    returns the sandwich collapses made.  The result does not depend on that
+    choice, since the rewriting is confluent.  Trusts the letters."""
     loops = 0
-    while (hit := _rightmost_redex(comm, adj, word)) is not None:
+    while (hit := _rightmost_redex(*tables, word)) is not None:
         _, j, t = hit
         del word[j]
         if t is not None:
             del word[t]
             loops += 1
-    return loops, tuple(word)
+    return loops
+
+
+def reduce_letters(g: CoxeterGraph, letters, max_len: int = DEFAULT_MAX_LEN):
+    """Rewrite a raw word to its normal form, checking its letters: returns
+    ``(k, word)`` with the input monomial equal to DELTA^k times the
+    monomial of the reduced word."""
+    _check_len(len(letters), max_len)
+    for s in letters:
+        g.check_letter(s)
+    word = list(letters)
+    return _reduce(_tables(g), word), tuple(word)
 
 
 def word_product(g: CoxeterGraph, left: tuple, right: tuple, max_len: int = DEFAULT_MAX_LEN):
-    """The monomial kernel: fold the letters of ``right`` onto the
-    Cartier-Foata letters ``left`` one at a time.
-
-    Returns ``(loops, squares, word)``, the sandwich and square collapses
-    made and the product's Cartier-Foata letters, so that in the f-basis
-    f_left f_right = DELTA^loops f_word and in the e-basis
-    e_left e_right = q^loops (1+q)^squares e_word.  Each appended letter is
-    checked against ``max_len``.
-    """
+    """The monomial kernel: append the letters of ``right`` to ``left`` one
+    at a time, reducing after each.  Returns ``(loops, squares, word)``, the
+    sandwich and square collapses made and the product's Cartier-Foata
+    letters: f_left f_right = DELTA^loops f_word in the f-basis, and
+    e_left e_right = q^loops (1+q)^squares e_word in the e-basis.  Trusts its
+    operands to be basis words of ``g``; either one, or any word the fold
+    forms, longer than ``max_len`` raises ``LengthLimitExceeded``."""
+    _check_len(max(len(left), len(right)), max_len)
     if not right:
         return 0, 0, left
-    loops = squares = 0
-    word = left
+    tables, word, loops = _tables(g), list(left), 0
     for s in right:
-        k, out = reduce_letters(g, word + (s,), max_len)
-        loops += k
-        squares += len(word) + 1 - len(out) - 2 * k
-        word = out
+        word.append(s)
+        _check_len(len(word), max_len)
+        loops += _reduce(tables, word)
+    squares = len(left) + len(right) - len(word) - 2 * loops
     return loops, squares, _cartier_foata_letters(g, word)
 
 
@@ -109,28 +112,42 @@ class TLElement:
     """A finite linear combination of basis words, canonical letter tuples
     -> Scalar, over one graph.
 
-    Treat instances as immutable; several caches hand out shared objects.
+    The constructor checks every key with :func:`fc_word`: a key with a bad
+    letter raises ``InvalidGenerator``, one that is not FC or not in
+    canonical form raises ``NotFcWord``.  Treat instances as immutable;
+    several caches hand out shared objects.
     """
 
     __slots__ = ("graph", "terms")
 
     def __init__(self, graph: CoxeterGraph, terms: dict):
+        for w in terms:
+            if fc_word(graph, w) != w:
+                raise NotFcWord(f"key {w} is not the canonical form of its word on {graph}")
         self.graph = graph
         self.terms = {w: c for w, c in terms.items() if not c.is_zero()}
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
+    def _canonical(cls, graph: CoxeterGraph, terms: dict) -> "TLElement":
+        """Fast constructor for keys already canonical FC words of graph."""
+        self = object.__new__(cls)
+        self.graph = graph
+        self.terms = {w: c for w, c in terms.items() if not c.is_zero()}
+        return self
+
+    @classmethod
     def zero(cls, graph) -> "TLElement":
-        return cls(graph, {})
+        return cls._canonical(graph, {})
 
     @classmethod
     def one(cls, graph) -> "TLElement":
-        return cls(graph, {(): ONE})
+        return cls._canonical(graph, {(): ONE})
 
     @classmethod
     def monomial(cls, graph, letters, coeff: Scalar = ONE) -> "TLElement":
-        return cls(graph, {fc_word(graph, letters): coeff})
+        return cls._canonical(graph, {fc_word(graph, letters): coeff})
 
     # -- linear structure ----------------------------------------------------
 
@@ -145,10 +162,10 @@ class TLElement:
         out = dict(self.terms)
         for w, c in other.terms.items():
             out[w] = out.get(w, Scalar(())) + c
-        return TLElement(self.graph, out)
+        return TLElement._canonical(self.graph, out)
 
     def __neg__(self):
-        return TLElement(self.graph, {w: -c for w, c in self.terms.items()})
+        return TLElement._canonical(self.graph, {w: -c for w, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, TLElement):
@@ -157,7 +174,7 @@ class TLElement:
 
     def scale(self, c) -> "TLElement":
         c = Scalar._coerce(c)
-        return TLElement(self.graph, {w: c * cw for w, cw in self.terms.items()})
+        return TLElement._canonical(self.graph, {w: c * cw for w, cw in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, TLElement):
@@ -190,7 +207,7 @@ class TLElement:
         return not self.terms
 
     def coeff(self, letters) -> Scalar:
-        return self.terms.get(_cartier_foata_letters(self.graph, letters), Scalar(()))
+        return self.terms.get(fc_word(self.graph, letters), Scalar(()))
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=_term_key)
@@ -229,7 +246,7 @@ def _f_scale(c: Scalar, loops: int, squares: int) -> Scalar:
 def multiply(x: TLElement, y: TLElement, *, max_len: int = DEFAULT_MAX_LEN) -> TLElement:
     """Bilinear product in the f-basis."""
     x._require_same_graph(y)
-    return TLElement(x.graph, _product(x.graph, x.terms, y.terms, _f_scale, max_len))
+    return TLElement._canonical(x.graph, _product(x.graph, x.terms, y.terms, _f_scale, max_len))
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +268,7 @@ def e_multiply(g: CoxeterGraph, x: dict, y: dict, max_len: int = DEFAULT_MAX_LEN
 
 def e_to_element(g: CoxeterGraph, x: dict) -> TLElement:
     """The f-basis element of an e-element: e_w = (1+q)^|w| f_w."""
-    return TLElement(g, {
+    return TLElement._canonical(g, {
         w: (c * qp1_laurent_pow(len(w))).to_scalar() for w, c in x.items()
     })
 
@@ -287,7 +304,7 @@ def gen(style: str, s: int, graph: CoxeterGraph) -> TLElement:
     """
     graph.check_letter(s)
     if style == "f":
-        return TLElement(graph, {(s,): ONE})
+        return TLElement._canonical(graph, {(s,): ONE})
     system, sign = style.removesuffix("_inv"), -1 if style.endswith("_inv") else 1
     if (system, sign) not in E_GENERATORS:
         raise ValueError(f"unknown generator style {style!r}")
@@ -320,12 +337,14 @@ def psi(x: TLElement, d: int = 1) -> TLElement:
     """Rotate every basis word around the affine cycle; an automorphism."""
     if not x.graph.is_affine:
         raise RankMismatch("psi is only defined on affine graphs")
-    return TLElement(x.graph, {_rotate_word(x.graph, w, d): c for w, c in x.terms.items()})
+    return TLElement._canonical(
+        x.graph, {_rotate_word(x.graph, w, d): c for w, c in x.terms.items()})
 
 
 def chi(x: TLElement) -> TLElement:
     """Reverse every basis word and bar every coefficient; an involution."""
-    return TLElement(x.graph, {_reverse_word(x.graph, w): c.bar() for w, c in x.terms.items()})
+    return TLElement._canonical(
+        x.graph, {_reverse_word(x.graph, w): c.bar() for w, c in x.terms.items()})
 
 
 # ---------------------------------------------------------------------------

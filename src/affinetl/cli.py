@@ -14,6 +14,7 @@ from concurrent.futures import ProcessPoolExecutor
 from . import verify as verify_mod
 from .algebra import (
     DEFAULT_MAX_LEN,
+    TLElement,
     element_to_json,
     format_element,
     multiply,
@@ -21,14 +22,24 @@ from .algebra import (
     reduce_letters,
 )
 from .coxeter import _cartier_foata_letters, affine, enumerate_fc, parse_word, path, word_text
-from .errors import LengthLimitExceeded, ParseError
+from .errors import ParseError
 from .morphisms import parse_braid
 from .scalars import delta_pow
 from .traces import invariant, jones_trace, rho
 
+# the most characters one element, word or input line may have; the parse
+# work grows with the text, and no printed value comes near this
+MAX_INPUT_CHARS = 8192
+
 
 def _graph(args):
     return affine(args.gens) if args.type == "affine" else path(args.gens)
+
+
+def _capped(text: str) -> str:
+    if len(text) > MAX_INPUT_CHARS:
+        raise ParseError(f"input of {len(text)} characters is over the cap of {MAX_INPUT_CHARS}")
+    return text
 
 
 def _emit(args, payload, text):
@@ -53,7 +64,7 @@ def cmd_invariant(args) -> int:
     braids = []
     for lineno, line in enumerate(lines, start=1):
         try:
-            braids.append(parse_braid(line, args.gens))
+            braids.append(parse_braid(_capped(line), args.gens))
         except (ParseError, ValueError) as exc:
             raise ParseError(f"line {lineno}: {exc}") from exc
     tasks = [(b, args.max_len) for b in braids]
@@ -71,7 +82,7 @@ def cmd_invariant(args) -> int:
 
 def cmd_trace(args) -> int:
     g = _graph(args)
-    x = parse_element(args.element, g)
+    x = parse_element(_capped(args.element), g)
     value = rho(x) if g.is_affine else jones_trace(x)
     _emit(args, {"element": args.element, "gens": args.gens, "trace": str(value)}, str(value))
     return 0
@@ -95,14 +106,10 @@ def _split_product(text: str) -> list:
 
 def cmd_multiply(args) -> int:
     g = _graph(args)
-    out = None
+    out = TLElement.one(g)
     for arg in args.elements:
-        for factor in _split_product(arg):
-            x = parse_element(factor, g)
-            longest = max(map(len, x.terms), default=0)
-            if longest > args.max_len:
-                raise LengthLimitExceeded(f"word of length {longest} exceeds cap {args.max_len}")
-            out = x if out is None else multiply(out, x, max_len=args.max_len)
+        for factor in _split_product(_capped(arg)):
+            out = multiply(out, parse_element(factor, g), max_len=args.max_len)
     text = format_element(out, basis=args.basis)
     _emit(
         args,
@@ -114,7 +121,7 @@ def cmd_multiply(args) -> int:
 
 def cmd_reduce(args) -> int:
     g = _graph(args)
-    letters = parse_word(g, args.word)
+    letters = parse_word(g, _capped(args.word))
     loops, word = reduce_letters(g, letters, max_len=args.max_len)
     w = _cartier_foata_letters(g, word)
     scalar, body = delta_pow(loops), word_text(g, w)

@@ -53,21 +53,20 @@ class CoxeterGraph:
         if not isinstance(s, int) or not 0 <= s < self.gens:
             raise InvalidGenerator(f"letter {s!r} out of range for {self}")
 
-    def commutes(self, s: int, t: int) -> bool:
+    def _check_pair(self, s: int, t: int):
         self.check_letter(s)
         self.check_letter(t)
         if s == t:
             raise InvalidGenerator(f"{s} and {t} are not two distinct generators")
-        if self.kind == PATH:
-            return abs(s - t) >= 2
-        if self.gens == 2:
-            return False  # free pair: only the quadratic relations hold
-        return (s - t) % self.gens not in (1, self.gens - 1)
+
+    def commutes(self, s: int, t: int) -> bool:
+        self._check_pair(s, t)
+        return _tables(self)[0][s][t]
 
     def tl_adjacent(self, s: int, t: int) -> bool:
-        """A pair that does not commute is tl-adjacent, unless it is the
-        free pair of the affine cycle on 2 generators."""
-        return not self.commutes(s, t) and not (self.is_affine and self.gens == 2)
+        """Whether the pair carries the length-3 relation; see :func:`_tables`."""
+        self._check_pair(s, t)
+        return _tables(self)[1][s][t]
 
     def letter_name(self, s: int) -> str:
         self.check_letter(s)
@@ -104,20 +103,16 @@ def path(m: int) -> CoxeterGraph:
 
 
 @lru_cache(maxsize=None)
-def _comm_table(g: CoxeterGraph):
-    """m x m commutation table; a letter never commutes with itself."""
-    m = g.gens
-    return tuple(
-        tuple(s != t and g.commutes(s, t) for t in range(m)) for s in range(m)
-    )
-
-
-@lru_cache(maxsize=None)
-def _adj_table(g: CoxeterGraph):
-    m = g.gens
-    return tuple(
-        tuple(s != t and g.tl_adjacent(s, t) for t in range(m)) for s in range(m)
-    )
+def _tables(g: CoxeterGraph):
+    """The m x m commutation and tl-adjacency tables, the one definition of
+    both relations: letters at distance 2 or more on the graph commute, and
+    neighbours are tl-adjacent, except the free pair of the affine cycle on
+    2 generators, on which only the quadratic relations hold."""
+    m, r = g.gens, range(g.gens)
+    dist = [[min((s - t) % m, (t - s) % m) if g.is_affine else abs(s - t) for t in r] for s in r]
+    free = g.is_affine and m == 2
+    return (tuple(tuple(d >= 2 for d in row) for row in dist),
+            tuple(tuple(d == 1 and not free for d in row) for row in dist))
 
 
 def _rightmost_redex(comm, adj, word):
@@ -126,7 +121,7 @@ def _rightmost_redex(comm, adj, word):
     A redex is a pair of equal letters at i < j, with none of that letter
     between, such that every letter between commutes with it (a square,
     ``t`` None), or all but one do and that one, at t, is tl-adjacent to it
-    (a sandwich).  ``comm`` and ``adj`` are the graph's tables.
+    (a sandwich).  ``comm`` and ``adj`` are the graph's :func:`_tables`.
     """
     # the walk left from j stops at the first letter that rules a redex out
     for j in range(len(word) - 1, 0, -1):
@@ -154,7 +149,7 @@ def fc_check(g: CoxeterGraph, word) -> bool:
     """
     for s in word:
         g.check_letter(s)
-    return _rightmost_redex(_comm_table(g), _adj_table(g), tuple(word)) is None
+    return _rightmost_redex(*_tables(g), tuple(word)) is None
 
 
 def fc_word(g: CoxeterGraph, letters) -> tuple[int, ...]:
@@ -179,7 +174,7 @@ def word_text(g: CoxeterGraph, letters) -> str:
 def _cartier_foata_letters(g: CoxeterGraph, letters) -> tuple[int, ...]:
     """Greedy block factorization: each letter goes into the earliest block
     all of whose later blocks commute with it; blocks are sorted internally."""
-    comm = _comm_table(g)
+    comm = _tables(g)[0]
     blocks: list[list[int]] = []
     depth: dict = {}
     for s in letters:
@@ -209,7 +204,7 @@ def reverse(g: CoxeterGraph, w: tuple) -> tuple:
     return _cartier_foata_letters(g, w[::-1])
 
 
-def enumerate_fc(g: CoxeterGraph, maxlen: int, limit: int = ENUM_LIMIT):
+def enumerate_fc(g: CoxeterGraph, maxlen: int):
     """The canonical letters of each FC element of length <= maxlen, ordered
     by length then lexicographically.
 
@@ -218,9 +213,9 @@ def enumerate_fc(g: CoxeterGraph, maxlen: int, limit: int = ENUM_LIMIT):
     >>> len(enumerate_fc(path(3), 6))
     14
     """
-    if maxlen > limit:
-        raise LengthLimitExceeded(f"maxlen {maxlen} exceeds the limit {limit}")
-    comm, adj = _comm_table(g), _adj_table(g)
+    if maxlen > ENUM_LIMIT:
+        raise LengthLimitExceeded(f"maxlen {maxlen} exceeds the limit {ENUM_LIMIT}")
+    comm, adj = _tables(g)
     out = [()]
     level = {(): None}
     for _ in range(maxlen):

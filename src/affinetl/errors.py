@@ -26,7 +26,7 @@ class InvalidGenerator(ValueError):
 
 class NotFcWord(ValueError):
     """The word contains a redex, so it is not a reduced word of a fully
-    commutative element."""
+    commutative element, or a basis-word key is not in canonical form."""
 
 
 class LengthLimitExceeded(RuntimeError):

@@ -36,8 +36,7 @@ class BraidWord:
         if self.gens < 2:
             raise RankMismatch("braid words need at least 2 generators")
         for s, e in self.letters:
-            if not 0 <= s < self.gens:
-                raise InvalidGenerator(f"braid letter {s} out of range")
+            self.graph.check_letter(s)
             if e not in (-1, 1):
                 raise InvalidGenerator(f"braid exponent {e} must be +-1")
 
@@ -148,7 +147,7 @@ def _apply_map(kind: str, x: TLElement) -> TLElement:
             t = c * (d * qp1_laurent_pow(len(u))).to_scalar()
             acc = out.get(u)
             out[u] = t if acc is None else acc + t
-    return TLElement(tgt, out)
+    return TLElement._canonical(tgt, out)
 
 
 def F_map(x: TLElement) -> TLElement:
@@ -167,11 +166,11 @@ def include(x: TLElement) -> TLElement:
     basis words are unchanged."""
     if x.graph.is_affine:
         raise RankMismatch("include expects a classical-algebra element")
-    return TLElement(affine(x.graph.gens + 1), x.terms)
+    return TLElement._canonical(affine(x.graph.gens + 1), x.terms)
 
 
 def widen(x: TLElement, n: int) -> TLElement:
     """Classical inclusion path(m) -> path(n) for n >= m, letters unchanged."""
     if x.graph.is_affine or n < x.graph.gens:
         raise RankMismatch("widen expects a classical element and a larger rank")
-    return TLElement(path(n), x.terms)
+    return TLElement._canonical(path(n), x.terms)

@@ -26,10 +26,9 @@ from .algebra import (
 )
 from .coxeter import (
     CoxeterGraph,
-    _adj_table,
     _cartier_foata_letters,
-    _comm_table,
     _rightmost_redex,
+    _tables,
     affine,
     fc_word,
     path,
@@ -70,7 +69,7 @@ def random_scalar(rng: random.Random) -> Scalar:
 
 
 def random_fc_letters(g: CoxeterGraph, rng: random.Random, maxlen: int):
-    comm, adj = _comm_table(g), _adj_table(g)
+    comm, adj = _tables(g)
     word: tuple = ()
     for _ in range(rng.randrange(maxlen + 1)):
         choices = [s for s in range(g.gens) if _rightmost_redex(comm, adj, word + (s,)) is None]
@@ -147,7 +146,7 @@ def _reduce_random(g: CoxeterGraph, letters, rng: random.Random):
     """``reduce_letters`` applying a uniformly random redex at each step.
     The redexes of a word are the rightmost redexes of its ever shorter
     prefixes, since a redex of a prefix is a redex of the whole word."""
-    comm, adj = _comm_table(g), _adj_table(g)
+    comm, adj = _tables(g)
     word, loops = list(letters), 0
     while True:
         found, end = [], len(word)

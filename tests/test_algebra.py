@@ -46,10 +46,34 @@ def test_word_product_examples():
     assert word_product(g3, (0, 1), (0,)) == (1, 0, (0,))
     assert word_product(p3, (0, 1, 2), (0,)) == (1, 0, (0, 2))
     assert word_product(p3, (0, 2), ()) == (0, 0, (0, 2))
-    with pytest.raises(InvalidGenerator):
-        word_product(p3, (), (7,))
     with pytest.raises(LengthLimitExceeded):
         word_product(g3, (0, 1, 2), (0,), max_len=3)
+
+
+def test_letters_are_checked_at_the_boundary():
+    # word_product trusts its operands; the entries that build them check
+    p3 = path(3)
+    with pytest.raises(InvalidGenerator):
+        TLElement.monomial(p3, (7,))
+    with pytest.raises(InvalidGenerator):
+        reduce_letters(p3, (7,))
+
+
+def test_constructor_checks_its_keys():
+    p3 = path(3)
+    for key in ((2, 0), (0, 1, 0)):  # not canonical, not FC
+        with pytest.raises(NotFcWord):
+            TLElement(p3, {key: ONE})
+    with pytest.raises(InvalidGenerator):
+        TLElement(p3, {(7,): ONE})
+    assert TLElement(p3, {(0, 2): ONE}) == TLElement.monomial(p3, (2, 0))
+
+
+def test_coeff_checks_its_letters():
+    x = mono(path(3), (0, 1))
+    with pytest.raises(InvalidGenerator):
+        x.coeff((7, 0))
+    assert x.coeff((1, 0)).is_zero()
 
 
 def test_word_product_scale_contract(rng):
@@ -213,6 +237,15 @@ def test_length_cap():
         multiply(x, x, max_len=8)
     with pytest.raises(LengthLimitExceeded):
         reduce_letters(g2, (0, 1) * 40)
+
+
+def test_length_cap_is_the_same_in_both_orders():
+    g3 = affine(3)
+    x, one = mono(g3, (0, 1, 2)), TLElement.one(g3)
+    for a, b in ((x, one), (one, x)):
+        with pytest.raises(LengthLimitExceeded):
+            multiply(a, b, max_len=2)
+        assert multiply(a, b, max_len=3) == x
 
 
 def test_classical_span_is_closed():

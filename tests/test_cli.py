@@ -1,3 +1,4 @@
+import io
 import json
 import sys
 
@@ -150,6 +151,30 @@ def test_multiply_caps_input_words(capsys):
         assert "word of length 3 exceeds cap 2" in err
     code, out, _ = run(capsys, "multiply", "--gens", "3", "--max-len", "3", "[s1 s2 a]", "[]")
     assert code == 0 and out.strip() == "[s1 s2 a]"
+
+
+def test_input_over_the_cap_is_a_usage_error(capsys, monkeypatch, tmp_path):
+    from affinetl.cli import MAX_INPUT_CHARS
+
+    pad = " " * (MAX_INPUT_CHARS - 2)  # with "s1" exactly at the cap
+    f = tmp_path / "words.txt"
+    f.write_text(f"s1\n{pad} s1\n")
+    over = (["invariant", "--gens", "2", pad + " s1"],
+            ["invariant", "--gens", "2", "--file", str(f)],
+            ["trace", "--gens", "3", pad + "[s1]"],
+            ["multiply", "--gens", "3", "[s1]", pad + "[s1]"],
+            ["reduce", "--gens", "3", pad + " s1"])
+    for argv in over:
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert f"is over the cap of {MAX_INPUT_CHARS}" in err, argv
+    monkeypatch.setattr(sys, "stdin", io.StringIO(pad + " s1\n"))
+    code, out, err = run(capsys, "invariant", "--gens", "2")
+    assert code == 2 and "line 1: input of 8193 characters" in err
+    monkeypatch.setattr(sys, "stdin", io.StringIO(pad + "s1\n"))
+    assert run(capsys, "invariant", "--gens", "2") == (0, "1\n", "")
+    code, out, _ = run(capsys, "trace", "--gens", "3", pad[2:] + "[s1]")
+    assert code == 0 and out == "1\n"
 
 
 class UnreadableStdin:

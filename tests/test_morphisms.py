@@ -150,6 +150,8 @@ def test_braid_parsing_and_inverse():
         parse_braid("s9", 3)
     with pytest.raises(InvalidGenerator):
         BraidWord(2, ((0, 2),))
+    with pytest.raises(InvalidGenerator):
+        BraidWord(2, ((2, 1),))
     with pytest.raises(RankMismatch):
         BraidWord(1, ())
 

@@ -540,3 +540,29 @@ def test_braid_pipeline_makes_no_gcd(monkeypatch, rng):
     assert [from_g_word(g, w) for g, w in words] == expected_words
     with pytest.raises(AssertionError, match="gcd"):
         (ONE + Q) / (ONE + V)  # the patch is live for Q(v) arithmetic
+
+
+def test_kernels_never_check_a_letter(monkeypatch, rng):
+    # words are checked where they enter; the products, maps and traces
+    # below run on cold word caches with the letter check refusing every
+    # call (the tower generator images, built once per rank from a checked
+    # braid word, stay cached from the expected values)
+    from affinetl import CoxeterGraph, E_map, F_map, coxeter, morphisms, traces
+
+    braids = [random_braid(m, rng, 6) for m in (2, 3, 4) for _ in range(3)]
+    elements = [random_element(affine(m), rng, 2, 4) for m in (2, 3, 4) for _ in range(3)]
+    expected = [(invariant(b),) for b in braids]
+    expected += [(rho(x), E_map(x), F_map(x), multiply(x, x)) for x in elements]
+
+    def refuse(self, s):
+        raise AssertionError("a kernel checked a letter")
+
+    for cached in (coxeter._tables, morphisms._f_image, traces._rho_word,
+                   traces._trace_f_word):
+        cached.cache_clear()
+    monkeypatch.setattr(CoxeterGraph, "check_letter", refuse)
+    got = [(invariant(b),) for b in braids]
+    got += [(rho(x), E_map(x), F_map(x), multiply(x, x)) for x in elements]
+    assert got == expected
+    with pytest.raises(AssertionError, match="checked a letter"):
+        gen("f", 0, affine(2))  # the patch is live at the boundary
