@@ -480,17 +480,29 @@ class Laurent:
         """The product with v^k."""
         return Laurent._trimmed(self.lo + k, self.coeffs) if self.coeffs else self
 
-    def to_scalar(self) -> Scalar:
-        """The same value in Q(v).  The numerator has a nonzero constant
-        term, so it is coprime to the power of v in the denominator and the
-        canonical form needs no gcd.
+    def div_exact(self, other: "Laurent") -> "Laurent":
+        """The quotient in Z[v, 1/v]: a shift, then an exact polynomial
+        quotient, which raises ``InexactDivision`` if ``other`` does not
+        divide."""
+        if not other.coeffs:
+            raise DivisionByZero("Laurent division by zero")
+        return Laurent(self.lo - other.lo, _pdiv_exact(self.coeffs, other.coeffs))
 
-        >>> Laurent(-3, (1, 0, 1)).to_scalar() == (ONE + Q) / V ** 3
-        True
-        """
+    def to_scalar(self) -> Scalar:
+        """The same value in Q(v)."""
+        return self.over_qp1_pow(0)
+
+    def over_qp1_pow(self, n: int) -> Scalar:
+        """This value over (1+q)^n, in Q(v), with no gcd.  1+q = 1+v^2 is
+        irreducible over Q, so it is divided out while the numerator vanishes
+        at v = i; the trimmed numerator left is coprime to v^a (1+q)^b."""
+        p = self.coeffs
+        while n and p and sum(p[0::4]) == sum(p[2::4]) and sum(p[1::4]) == sum(p[3::4]):
+            p, n = _pdiv_exact(p, (1, 0, 1)), n - 1
+        den = qp1_laurent_pow(n).coeffs if n else (1,)
         if self.lo >= 0:
-            return Scalar._reduced((0,) * self.lo + self.coeffs, (1,))
-        return Scalar._reduced(self.coeffs, (0,) * -self.lo + (1,))
+            return Scalar._reduced((0,) * self.lo + p, den)
+        return Scalar._reduced(p, (0,) * -self.lo + den)
 
     def __eq__(self, other):
         if not isinstance(other, Laurent):

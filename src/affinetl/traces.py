@@ -24,8 +24,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
-from .algebra import DEFAULT_MAX_LEN, TLElement, e_scale, e_word, multiply, word_product
-from .coxeter import CoxeterGraph, affine, path, rotate, word_text
+from .algebra import (DEFAULT_MAX_LEN, TLElement, e_multiply, e_scale, e_to_element, e_word,
+                      word_product)
+from .coxeter import CoxeterGraph, affine, fc_word, path, rotate, word_text
 from .errors import (
     InvalidGenerator,
     LengthLimitExceeded,
@@ -35,7 +36,7 @@ from .errors import (
     SingularSystem,
 )
 from .morphisms import BraidWord, _f_image
-from .scalars import DELTA, L_ONE, L_ZERO, ONE, Q, V, Laurent, Scalar, qp1_pow
+from .scalars import DELTA, L_ONE, L_ZERO, ONE, Laurent, Scalar, qp1_laurent_pow, qp1_pow
 
 # the trace factors of the integral monomials e_w = (1+q)^|w| f_w:
 # -1/v - v per free strand, -v per splitting at a top-generator occurrence
@@ -98,8 +99,8 @@ def _rho_word(m: int, letters: tuple[int, ...]) -> Laurent:
 def rho(x: TLElement) -> Scalar:
     """The affine Markov trace: collapse with E_map, then jones_trace.
 
-    >>> rho(TLElement.one(affine(3))) == (ONE + Q) ** 2 / Q
-    True
+    >>> print(rho(TLElement.one(affine(3))))
+    (v^4+2*v^2+1)/(v^2)
     >>> rho(TLElement.monomial(affine(3), (0,))) == ONE
     True
     """
@@ -212,18 +213,22 @@ def classify_orbit3(g: CoxeterGraph, w: tuple) -> tuple[str, int, int]:
     return hit
 
 
-def _slots3(x: TLElement) -> dict:
-    """x's coefficient on each slot of the rank-3 value table: the lengths
-    0, 1 and 2, and (family, k) for the long words, whose remainder-2 words
-    carry a DELTA factor."""
+# a long word of length 3k + r takes its slot's value times remainder[r]: DELTA at r = 2
+# in the f-basis, and that times (1+q)^r in the e-basis, whose slot value is (1+q)^(3k) beta_k
+_F_REMAINDER = (ONE, ONE, DELTA)
+_E_REMAINDER = (L_ONE, qp1_laurent_pow(1), Laurent(2, (1,)))
+
+
+def _slots3(terms: dict, remainder: tuple) -> dict:
+    """The coefficient of each slot of the rank-3 value table in a term dict
+    over affine(3), in the basis of ``remainder``: the lengths 0, 1 and 2,
+    and (family, k) for the long words."""
     out: dict = {}
-    for w, c in x.terms.items():
+    for w, c in terms.items():
         slot = len(w)
         if slot > 2:
-            family, k, rem = classify_orbit3(x.graph, w)
-            slot = (family, k)
-            if rem == 2:
-                c = DELTA * c
+            family, k, rem = classify_orbit3(affine(3), w)
+            slot, c = (family, k), c * remainder[rem]
         acc = out.get(slot)
         out[slot] = c if acc is None else acc + c
     return out
@@ -235,7 +240,7 @@ def generic_trace3(p: TraceParamsTL3, x: TLElement) -> Scalar:
         raise RankMismatch("generic_trace3 lives on the rank-3 affine algebra")
     short = (p.B0, p.B1, p.B2)
     out = Scalar(())
-    for slot, c in _slots3(x).items():
+    for slot, c in _slots3(x.terms, _F_REMAINDER).items():
         if isinstance(slot, int):
             v = short[slot]
         else:
@@ -248,81 +253,87 @@ def generic_trace3(p: TraceParamsTL3, x: TLElement) -> Scalar:
 # ---------------------------------------------------------------------------
 # the rank-3 product machinery and the parameter solver
 
+# the largest kmax of solve_alpha_beta: x_1^k f_{s2} has words of length 3k+1
+SOLVER_KMAX = (DEFAULT_MAX_LEN - 1) // 3
+
+
+def _xz_e(i: int) -> tuple[dict, dict]:
+    """(1+q)^(2i) x_i and (1+q)^(2i) z_i as e-elements, the one definition of
+    the pair: with a = s1 a s2, b = s1 s2 a and sgn = (-1)^i,
+      (1+q)^(2i) x_i = sgn (q^-i e_(a^i) + e_(b^i))
+                       - sgn (q^(1-i) e_(a^(i-1) s1 a) + e_(b^(i-1) s1 s2)),
+    and z_i has the same coefficients on the mirrored words."""
+    sgn = -1 if i % 2 else 1
+    coeffs = (Laurent(-2 * i, (sgn,)), Laurent(0, (sgn,)),
+              Laurent(2 - 2 * i, (-sgn,)), Laurent(0, (-sgn,)))
+    words = (
+        ((0, 2, 1) * i, (0, 1, 2) * i, (0, 2, 1) * (i - 1) + (0, 2), (0, 1, 2) * (i - 1) + (0, 1)),
+        ((2, 1, 0) * i, (1, 2, 0) * i, (1, 0) + (2, 1, 0) * (i - 1), (2, 0) + (1, 2, 0) * (i - 1)),
+    )
+    return tuple({fc_word(affine(3), w): c for w, c in zip(ws, coeffs)} for ws in words)
+
 
 def build_xz(i: int) -> tuple[TLElement, TLElement]:
     """The pair (x_i, z_i) of rank-3 elements whose powers of index 1 span
-    the image of the rank-2 algebra under the tower step.
+    the image of the rank-2 algebra under the tower step, for i >= 1.
 
     x_1 is the tower image of the product of the two rank-2 generators;
     z_i is the image of x_i under chi (word reversal with q -> 1/q).
     """
+    if i < 1:
+        raise ValueError(f"x_i and z_i need i >= 1, not {i}")
     if 3 * i + 2 > DEFAULT_MAX_LEN:
         raise LengthLimitExceeded(f"index {i} needs words longer than the cap {DEFAULT_MAX_LEN}")
-    g = affine(3)
-    ratio = (ONE + Q) / Q
-    plain = ONE + Q
-    sgn_i = ONE if i % 2 == 0 else -ONE
-    sgn_prev = -sgn_i
-    a_word, b_word = (0, 2, 1), (0, 1, 2)
-    x = (
-        TLElement.monomial(g, a_word * i, sgn_i * ratio ** i)
-        + TLElement.monomial(g, b_word * i, sgn_i * plain ** i)
-        + TLElement.monomial(g, a_word * (i - 1) + (0, 2), sgn_prev * ratio ** (i - 1))
-        + TLElement.monomial(g, b_word * (i - 1) + (0, 1), sgn_prev * plain ** (i - 1))
-    )
-    ar_word, br_word = (2, 1, 0), (1, 2, 0)
-    z = (
-        TLElement.monomial(g, ar_word * i, sgn_i * ratio ** i)
-        + TLElement.monomial(g, br_word * i, sgn_i * plain ** i)
-        + TLElement.monomial(g, (1, 0) + ar_word * (i - 1), sgn_prev * ratio ** (i - 1))
-        + TLElement.monomial(g, (2, 0) + br_word * (i - 1), sgn_prev * plain ** (i - 1))
-    )
-    return x, z
+    return tuple(e_to_element(affine(3), e).scale(qp1_pow(2 * i).inv()) for e in _xz_e(i))
 
 
-def _solve_slot(elem: TLElement, rhs: Scalar, target: tuple, B, known: dict) -> Scalar:
-    """Solve  sum_w c_w * slot(w) = rhs  for the single unknown slot."""
-    slots = _slots3(elem)
-    unknown_coeff = slots.pop(target, Scalar(()))
-    if unknown_coeff.is_zero():
+def _check_kmax(kmax: int) -> None:
+    """The range of solve_alpha_beta, checked before any product."""
+    if kmax < 1:
+        raise ValueError(f"kmax must be at least 1, not {kmax}")
+    if kmax > SOLVER_KMAX:
+        raise LengthLimitExceeded(f"kmax {kmax} exceeds {SOLVER_KMAX}, the largest whose "
+                                  f"words fit the cap {DEFAULT_MAX_LEN}")
+
+
+def _solve_slot(terms: dict, rhs: Laurent, target: tuple, known: dict) -> Laurent:
+    """Solve  sum_w d_w rho(e_w) = rhs  over Z[v, 1/v] for the one unknown
+    slot, the others taking their values from ``known``."""
+    slots = _slots3(terms, _E_REMAINDER)
+    pivot = slots.pop(target, L_ZERO)
+    if not pivot:
         raise SingularSystem(f"slot {target} does not occur in the expansion")
-    acc = Scalar(())
+    acc = L_ZERO
     for slot, c in slots.items():
-        acc = acc + c * (B[slot] if isinstance(slot, int) else known[slot])
-    return (rhs - acc) / unknown_coeff
+        acc = acc + c * known[slot]
+    return (rhs - acc).div_exact(pivot)
 
 
 def solve_alpha_beta(kmax: int):
-    """Solve for the trace values on the long basis words at ranks 2 and 3.
+    """Solve for the trace values on the long basis words at ranks 2 and 3,
+    for 1 <= kmax <= SOLVER_KMAX.
 
     Returns ``(alphas, betas, beta_revs)``, each a list of length kmax:
     alphas[k-1] is the rank-2 trace of the alternating word of length 2k,
     betas[k-1] / beta_revs[k-1] are the rank-3 trace values of the two
-    orbit families at length 3k.  The betas come from linear slot equations
-    driven by the products x_1^k f_{s2} and f_{s2} z_1^k.  The ``verify``
-    battery ``check_solver`` compares every solved value with the direct
-    rho evaluation of the matching basis word.
+    orbit families at length 3k.  The betas solve the slot equations of
+    x_1^k f_{s2} and f_{s2} z_1^k over Z[v, 1/v] in the e-basis: times
+    (1+q)^(2k+1), the first reads  sum_w d_w rho(e_w) = -v rho(e_((s1 a)^k))
+    for ((1+q)^2 x_1)^k e_{s2} = sum_w d_w e_w, with an exact quotient as its
+    unknown.  Each value becomes a Scalar once, at the end.
     """
-    g2, g3 = affine(2), affine(3)
-    alphas = [
-        rho(TLElement.monomial(g2, (0, 1) * k, ONE)) for k in range(1, kmax + 1)
-    ]
-    B = [
-        rho(TLElement.one(g3)),
-        rho(TLElement.monomial(g3, (0,))),
-        rho(TLElement.monomial(g3, (0, 1))),
-    ]
-    x1, z1 = build_xz(1)
-    f2 = TLElement.monomial(g3, (1,))
-    known: dict = {}
-    betas, beta_revs = [], []
-    x_side, z_side = f2, f2
+    _check_kmax(kmax)
+    known: dict = {len(w): _rho_word(3, w) for w in ((), (0,), (0, 1))}
+    x1, z1 = _xz_e(1)
+    alphas, betas, beta_revs = [], [], []
+    x_side = z_side = {(1,): L_ONE}
     for k in range(1, kmax + 1):
-        x_side = multiply(x1, x_side)
-        z_side = multiply(z_side, z1)
-        rhs = -(V / (ONE + Q)) * alphas[k - 1]
-        known[("rev", k)] = _solve_slot(x_side, rhs, ("rev", k), B, known)
-        known[("fwd", k)] = _solve_slot(z_side, rhs, ("fwd", k), B, known)
-        betas.append(known[("fwd", k)])
-        beta_revs.append(known[("rev", k)])
+        x_side = e_multiply(affine(3), x1, x_side)
+        z_side = e_multiply(affine(3), z_side, z1)
+        alpha = _rho_word(2, (0, 1) * k)
+        known["rev", k] = _solve_slot(x_side, -alpha.shift(1), ("rev", k), known)
+        known["fwd", k] = _solve_slot(z_side, -alpha.shift(1), ("fwd", k), known)
+        alphas.append(alpha.over_qp1_pow(2 * k))
+        betas.append(known["fwd", k].over_qp1_pow(3 * k))
+        beta_revs.append(known["rev", k].over_qp1_pow(3 * k))
     return alphas, betas, beta_revs

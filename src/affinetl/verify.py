@@ -40,6 +40,7 @@ from .traces import (
     TraceParamsTL2,
     _FWD_BASE,
     _REV_BASE,
+    _check_kmax,
     build_xz,
     generic_trace2,
     invariant,
@@ -406,8 +407,9 @@ def check_twist(ranks) -> list[CheckResult]:
 def run_suite(suite: str, seed: int, gens: int = 4, kmax: int = 3) -> list[CheckResult]:
     """One suite at the command's sizes, or all of them in the order of
     SUITES; each suite draws from its own ``Random(seed)``."""
-    if gens < 2 or kmax < 1:
-        raise ValueError(f"gens must be at least 2 and kmax at least 1, not {gens} and {kmax}")
+    if gens < 2:
+        raise ValueError(f"gens must be at least 2, not {gens}")
+    _check_kmax(kmax)
     if suite == "all":
         return [r for name in SUITES for r in run_suite(name, seed, gens, kmax)]
     if suite not in SUITES:

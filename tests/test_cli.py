@@ -205,6 +205,13 @@ def test_verify_rejects_meaningless_sizes(capsys):
         assert err.startswith("error: ")
 
 
+def test_verify_rejects_kmax_past_the_solver_bound(capsys):
+    # refused before any battery runs, with the bound named
+    code, out, err = run(capsys, "verify", "--suite", "paper-identities", "--kmax", "22")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "21" in err
+
+
 @pytest.mark.parametrize("argv", [["trace", "[s1 a]"], ["verify"]])
 def test_trace_and_verify_take_no_max_len(capsys, argv):
     with pytest.raises(SystemExit) as exc:

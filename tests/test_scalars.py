@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -15,12 +16,13 @@ from affinetl import (
     V,
     ZERO,
     DivisionByZero,
+    InexactDivision,
     ParseError,
     Scalar,
     format_scalar,
     parse_scalar,
 )
-from affinetl.scalars import Laurent
+from affinetl.scalars import Laurent, qp1_laurent_pow
 
 ints = st.integers(-6, 6)
 polys = st.lists(ints, min_size=1, max_size=4).map(tuple)
@@ -216,6 +218,38 @@ def test_laurent_to_scalar_is_canonical_without_gcd(monkeypatch):
     assert str(Laurent(-1, (-1, 0, -1)).to_scalar()) == "(-v^2-1)/(v)"
 
 
+def test_laurent_exact_quotient():
+    x = Laurent(-1, (3, 0, 3)) * qp1_laurent_pow(4)
+    assert x.div_exact(Laurent(2, (-3,))) == Laurent(-3, (-1, 0, -1)) * qp1_laurent_pow(4)
+    assert x.div_exact(qp1_laurent_pow(5)) == Laurent(-1, (3,))
+    assert Laurent(0, ()).div_exact(qp1_laurent_pow(2)) == Laurent(0, ())
+    for divisor in (Laurent(0, (1, 1)), qp1_laurent_pow(6), Laurent(0, (2,))):
+        with pytest.raises(InexactDivision):
+            x.div_exact(divisor)
+    with pytest.raises(DivisionByZero):
+        x.div_exact(Laurent(0, ()))
+
+
+# Laurents with zero, negative shifts and factors of (1+q)^j among them
+laurents = st.builds(lambda lo, coeffs, j: Laurent(lo, coeffs) * qp1_laurent_pow(j),
+                     st.integers(-8, 8), st.lists(ints, max_size=5), st.integers(0, 4))
+
+
+@given(laurents, st.integers(0, 6))
+@settings(max_examples=200, deadline=None)
+def test_over_qp1_pow_is_the_gcd_constructor(x, n):
+    from affinetl import scalars
+
+    def no_gcd(a, b):
+        raise AssertionError("polynomial gcd")
+
+    with mock.patch.object(scalars, "_pgcd", no_gcd):
+        got = x.over_qp1_pow(n)
+    want = Scalar((0,) * max(x.lo, 0) + x.coeffs,
+                  (0,) * max(-x.lo, 0) + qp1_laurent_pow(n).coeffs)
+    assert (got.num, got.den) == (want.num, want.den)
+
+
 def test_invariant_checks_survive_optimize_flag():
     # library invariants raise typed errors, never asserts that -O removes
     import affinetl
@@ -223,10 +257,12 @@ def test_invariant_checks_survive_optimize_flag():
     src = os.path.dirname(os.path.dirname(os.path.abspath(affinetl.__file__)))
     code = (
         "from affinetl.errors import InexactDivision, InvalidGenerator, NotFcWord\n"
-        "from affinetl.scalars import _pdiv_exact\n"
+        "from affinetl.scalars import Laurent, _pdiv_exact\n"
         "from affinetl.traces import _trace_f_word\n"
         "for call, exc in ((lambda: _pdiv_exact((1, 0, 1), (1, 1)), InexactDivision),\n"
         "                  (lambda: _pdiv_exact((1, 1), (1, 2)), InexactDivision),\n"
+        "                  (lambda: Laurent(0, (1, 0, 1)).div_exact(Laurent(0, (1, 1))),\n"
+        "                   InexactDivision),\n"
         "                  (lambda: _trace_f_word(0, (1,)), InvalidGenerator),\n"
         "                  (lambda: _trace_f_word(2, (1, 0, 1)), NotFcWord)):\n"
         "    try:\n"

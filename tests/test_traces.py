@@ -16,6 +16,7 @@ from affinetl import (
     DELTA,
     FREE_STRAND_FACTOR,
     ONE,
+    LengthLimitExceeded,
     Q,
     V,
     RankMismatch,
@@ -382,6 +383,8 @@ def test_x1_is_the_tower_image_of_the_generator_product():
 
 def test_xz_closed_forms():
     assert_checks(check_xz(1))
+    with pytest.raises(ValueError, match="i >= 1"):
+        build_xz(0)  # the e-basis table of x_i and z_i holds for i >= 1 only
 
 
 def test_xz_general_closed_forms():
@@ -448,6 +451,44 @@ def test_solve_alpha_beta_values():
         # the two families genuinely differ, and bar exchanges them
         assert betas[k - 1] != beta_revs[k - 1]
         assert betas[k - 1].bar() == beta_revs[k - 1]
+
+
+def test_solver_checks_kmax_before_any_product(monkeypatch):
+    # x_1^k f_{s2} has words of length 3k + 1, so 21 is the largest k the
+    # default cap allows; outside 1..21 the solver refuses before it works
+    from affinetl import traces
+
+    assert traces.SOLVER_KMAX == 21
+    _, betas, beta_revs = solve_alpha_beta(21)
+    assert betas[-1] == -ONE / (ONE + Q) ** 63 and beta_revs[-1] == Q ** 63 * betas[-1]
+
+    def refuse(*args):
+        raise AssertionError("a product before the kmax check")
+
+    monkeypatch.setattr(traces, "e_multiply", refuse)
+    monkeypatch.setattr(traces, "_rho_word", refuse)
+    with pytest.raises(LengthLimitExceeded, match="21"):
+        solve_alpha_beta(22)
+    for kmax in (0, -1):
+        with pytest.raises(ValueError, match="at least 1"):
+            solve_alpha_beta(kmax)
+
+
+def test_solver_makes_no_gcd(monkeypatch):
+    from affinetl import morphisms, scalars, traces
+
+    expected = solve_alpha_beta(20)
+
+    def no_gcd(a, b):
+        raise AssertionError("polynomial gcd in the solver")
+
+    for cached in (morphisms._gen_images, morphisms._f_image, traces._rho_word,
+                   traces._trace_f_word, scalars.qp1_laurent_pow):
+        cached.cache_clear()
+    monkeypatch.setattr(scalars, "_pgcd", no_gcd)
+    assert solve_alpha_beta(20) == expected
+    with pytest.raises(AssertionError, match="gcd"):
+        (ONE + Q) / (ONE + V)  # the patch is live for Q(v) arithmetic
 
 
 def test_solver_matches_oracle():
