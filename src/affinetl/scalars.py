@@ -489,7 +489,11 @@ class Laurent:
         return Laurent(self.lo - other.lo, _pdiv_exact(self.coeffs, other.coeffs))
 
     def to_scalar(self) -> Scalar:
-        """The same value in Q(v)."""
+        """The same value in Q(v).
+
+        >>> Laurent(-3, (1, 0, 1)).to_scalar() == (ONE + Q) / V ** 3
+        True
+        """
         return self.over_qp1_pow(0)
 
     def over_qp1_pow(self, n: int) -> Scalar:
@@ -500,9 +504,7 @@ class Laurent:
         while n and p and sum(p[0::4]) == sum(p[2::4]) and sum(p[1::4]) == sum(p[3::4]):
             p, n = _pdiv_exact(p, (1, 0, 1)), n - 1
         den = qp1_laurent_pow(n).coeffs if n else (1,)
-        if self.lo >= 0:
-            return Scalar._reduced((0,) * self.lo + p, den)
-        return Scalar._reduced(p, (0,) * -self.lo + den)
+        return Scalar._reduced((0,) * max(self.lo, 0) + p, (0,) * max(-self.lo, 0) + den)
 
     def __eq__(self, other):
         if not isinstance(other, Laurent):
