@@ -27,6 +27,7 @@ every product of them is the one fold :func:`e_word`.
 from __future__ import annotations
 
 from .coxeter import (
+    DEFAULT_MAX_LEN,
     CoxeterGraph,
     _cartier_foata_letters,
     _rightmost_redex,
@@ -47,8 +48,6 @@ from .scalars import (
     qp1_laurent_pow,
     qp1_pow,
 )
-
-DEFAULT_MAX_LEN = 64
 
 
 # ---------------------------------------------------------------------------

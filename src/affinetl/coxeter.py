@@ -27,7 +27,8 @@ from .errors import InvalidGenerator, LengthLimitExceeded, NotFcWord, RankMismat
 AFFINE = "affine-cycle"
 PATH = "type-a-path"
 
-ENUM_LIMIT = 64
+# the longest basis word: the default product cap and the enumerate_fc limit
+DEFAULT_MAX_LEN = 64
 
 
 @dataclass(frozen=True)
@@ -213,8 +214,8 @@ def enumerate_fc(g: CoxeterGraph, maxlen: int):
     >>> len(enumerate_fc(path(3), 6))
     14
     """
-    if maxlen > ENUM_LIMIT:
-        raise LengthLimitExceeded(f"maxlen {maxlen} exceeds the limit {ENUM_LIMIT}")
+    if maxlen > DEFAULT_MAX_LEN:
+        raise LengthLimitExceeded(f"maxlen {maxlen} exceeds the limit {DEFAULT_MAX_LEN}")
     comm, adj = _tables(g)
     out = [()]
     level = {(): None}

@@ -21,7 +21,7 @@ from functools import lru_cache
 from .algebra import DEFAULT_MAX_LEN, TLElement, e_multiply, e_to_element, e_word
 from .coxeter import CoxeterGraph, affine, path
 from .errors import InvalidGenerator, ParseError, RankMismatch
-from .scalars import L_ONE, L_ZERO, qp1_laurent_pow, qp1_pow
+from .scalars import L_ONE, L_ZERO, qp1_laurent_pow
 
 
 @dataclass(frozen=True)
@@ -141,10 +141,9 @@ def _apply_map(kind: str, x: TLElement) -> TLElement:
     tgt, _ = _gen_images(kind, m)
     out: dict = {}
     for w, c in x.terms.items():
-        c = c / qp1_pow(len(w))
         for u, d in _f_image(kind, m, w).items():
-            # the f_u coefficient of the image of e_w is d (1+q)^|u|
-            t = c * (d * qp1_laurent_pow(len(u))).to_scalar()
+            # the f_u coefficient of the image of f_w is d (1+q)^(|u| - |w|)
+            t = c * (d * qp1_laurent_pow(len(u))).over_qp1_pow(len(w))
             acc = out.get(u)
             out[u] = t if acc is None else acc + t
     return TLElement._canonical(tgt, out)

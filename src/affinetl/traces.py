@@ -24,35 +24,22 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
-from .algebra import (DEFAULT_MAX_LEN, TLElement, e_multiply, e_scale, e_to_element, e_word,
-                      word_product)
-from .coxeter import CoxeterGraph, affine, fc_word, path, rotate, word_text
-from .errors import (
-    InvalidGenerator,
-    LengthLimitExceeded,
-    NotClassifiable,
-    NotFcWord,
-    RankMismatch,
-    SingularSystem,
-)
+from .algebra import DEFAULT_MAX_LEN, TLElement, e_multiply, e_to_element, e_word
+from .coxeter import CoxeterGraph, affine, fc_word, rotate, word_text
+from .errors import LengthLimitExceeded, NotClassifiable, RankMismatch, SingularSystem
 from .morphisms import BraidWord, _f_image
 from .scalars import DELTA, L_ONE, L_ZERO, ONE, Laurent, Scalar, qp1_laurent_pow, qp1_pow
 
-# the trace factors of the integral monomials e_w = (1+q)^|w| f_w:
-# -1/v - v per free strand, -v per splitting at a top-generator occurrence
-_E_FREE_STRAND = Laurent(-1, (-1, 0, -1))
-_E_SPLIT = Laurent(1, (-1,))
-
 # trace value gained by a strand the word never touches: -(1+q)/sqrt(q)
-FREE_STRAND_FACTOR = _E_FREE_STRAND.to_scalar()
+FREE_STRAND_FACTOR = Laurent(-1, (-1, 0, -1)).to_scalar()
 
 
 def _trace_sum(x: TLElement, value) -> Scalar:
-    """The sum of c / (1+q)^|w| value(w) over the terms c f_w of x, where
+    """The sum of c value(w) / (1+q)^|w| over the terms c f_w of x, where
     value(w) is the Laurent trace of the integral monomial e_w."""
     out = Scalar(())
     for w, c in x.terms.items():
-        out = out + c / qp1_pow(len(w)) * value(w).to_scalar()
+        out = out + c * value(w).over_qp1_pow(len(w))
     return out
 
 
@@ -65,26 +52,32 @@ def jones_trace(x: TLElement) -> Scalar:
 
 @lru_cache(maxsize=None)
 def _trace_f_word(n: int, letters: tuple[int, ...]) -> Laurent:
-    """Trace of the integral monomial e_w = (1+q)^|w| f_w over path(n).
+    """Trace of the integral monomial e_w = (1+q)^|w| f_w over path(n), for
+    any letter sequence w.
 
-    If the top generator is absent, the word lives one rank down and picks
-    up the free-strand factor; if present, splitting b e_top c -> b c costs
-    one split factor and the flanks multiply back into a single monomial
-    times q^loops (1+q)^squares.  In an FC word the top generator occurs
-    at most once.
+    With e_s = v U_s, the diagram U_w on n+1 strands has trace
+    (-1)^n (v + 1/v)^(L-1), where L counts the loops of its closure
+    (Kauffman, Topology 26, 1987).  The loops are the classes of a
+    union-find over the n+1 top ends and one cup per letter: the letter s
+    caps the two ends that reach its strands s and s+1, and its cup becomes
+    their new end; the closure joins each bottom end to its top end.
     """
-    if n == 0:
-        if letters:
-            raise InvalidGenerator(f"letters {letters} on the empty path graph")
-        return L_ONE
-    top = [i for i, s in enumerate(letters) if s == n - 1]
-    if not top:
-        return _E_FREE_STRAND * _trace_f_word(n - 1, letters)
-    if len(top) > 1:
-        raise NotFcWord(f"top generator repeated in the path word {letters}")
-    i = top[0]
-    loops, squares, word = word_product(path(n - 1), letters[:i], letters[i + 1:])
-    return e_scale(_E_SPLIT * _trace_f_word(n - 1, word), loops, squares)
+    parent = list(range(n + 1 + len(letters)))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        return a
+
+    end = list(range(n + 1))
+    for cup, s in enumerate(letters, n + 1):
+        parent[find(end[s])] = find(end[s + 1])
+        end[s] = end[s + 1] = cup
+    for top, bottom in enumerate(end):
+        parent[find(bottom)] = find(top)
+    loops = sum(a == p for a, p in enumerate(parent))
+    out = qp1_laurent_pow(loops - 1).shift(len(letters) + 1 - loops)
+    return -out if n % 2 else out
 
 
 @lru_cache(maxsize=None)

@@ -257,14 +257,15 @@ def test_invariant_checks_survive_optimize_flag():
     src = os.path.dirname(os.path.dirname(os.path.abspath(affinetl.__file__)))
     code = (
         "from affinetl.errors import InexactDivision, InvalidGenerator, NotFcWord\n"
-        "from affinetl.scalars import Laurent, _pdiv_exact\n"
-        "from affinetl.traces import _trace_f_word\n"
+        "from affinetl.algebra import TLElement\n"
+        "from affinetl.coxeter import path\n"
+        "from affinetl.scalars import ONE, Laurent, _pdiv_exact\n"
         "for call, exc in ((lambda: _pdiv_exact((1, 0, 1), (1, 1)), InexactDivision),\n"
         "                  (lambda: _pdiv_exact((1, 1), (1, 2)), InexactDivision),\n"
         "                  (lambda: Laurent(0, (1, 0, 1)).div_exact(Laurent(0, (1, 1))),\n"
         "                   InexactDivision),\n"
-        "                  (lambda: _trace_f_word(0, (1,)), InvalidGenerator),\n"
-        "                  (lambda: _trace_f_word(2, (1, 0, 1)), NotFcWord)):\n"
+        "                  (lambda: TLElement.monomial(path(0), (0,)), InvalidGenerator),\n"
+        "                  (lambda: TLElement(path(3), {(1, 0, 1): ONE}), NotFcWord)):\n"
         "    try:\n"
         "        call()\n"
         "    except exc:\n"

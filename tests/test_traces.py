@@ -29,6 +29,7 @@ from affinetl import (
     chi,
     classify_orbit3,
     enumerate_fc,
+    fc_check,
     fc_word,
     from_g_word,
     gen,
@@ -553,6 +554,31 @@ def test_traces_match_qv_oracle(rng):
         for _ in range(10):
             x = random_element(affine(m), rng, 3, 5)
             assert_scalar_equal(rho(x), qv_oracle.jones_trace(qv_oracle.apply_map("E", x)))
+
+
+def test_word_trace_matches_qv_oracle_on_every_short_path_word():
+    import qv_oracle
+    from affinetl.traces import _trace_f_word
+
+    words = [(n, w) for n in range(7) for w in enumerate_fc(path(n), 64)]
+    assert len(words) == 625
+    for n, w in words:
+        assert _trace_f_word(n, w).over_qp1_pow(len(w)) == qv_oracle.trace_f_word(n, w), (n, w)
+
+
+def test_word_trace_of_a_raw_word_is_the_trace_of_its_product(rng):
+    # the loop count needs no FC word: a raw word, repeats of the top
+    # generator and other non-FC words included, has the trace of its
+    # reduced product q^loops (1+q)^squares e_w
+    from affinetl.algebra import e_scale, word_product
+    from affinetl.traces import _trace_f_word
+
+    raws = [(n, tuple(rng.randrange(n) for _ in range(rng.randint(0, 12))))
+            for n in range(1, 10) for _ in range(300)]
+    assert sum(not fc_check(path(n), raw) for n, raw in raws) > 1000
+    for n, raw in raws:
+        loops, squares, w = word_product(path(n), (), raw)
+        assert _trace_f_word(n, raw) == e_scale(_trace_f_word(n, w), loops, squares), (n, raw)
 
 
 def test_braid_pipeline_makes_no_gcd(monkeypatch, rng):

@@ -40,9 +40,15 @@ def _clear_word_caches():
         cached.cache_clear()
 
 
-def test_batteries_report_a_wrong_split_factor(monkeypatch):
+def test_batteries_report_a_wrong_letter_sign(monkeypatch):
+    trace_f_word = traces._trace_f_word
+
+    def wrong(n, letters):  # the trace as if e_s were -v U_s, not v U_s
+        value = trace_f_word(n, letters)
+        return -value if len(letters) % 2 else value
+
     _clear_word_caches()
-    monkeypatch.setattr(traces, "_E_SPLIT", Laurent(1, (1,)))  # +v where -v belongs
+    monkeypatch.setattr(traces, "_trace_f_word", wrong)
     try:
         failed = {r.name for r in verify.run_suite("all", 0) if not r.ok}
         markov = verify.check_markov(random.Random(1), 3, 5)
