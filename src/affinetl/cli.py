@@ -49,11 +49,6 @@ def _emit(args, payload, text):
         print(text)
 
 
-def _braid_invariant(task):
-    braid, max_len = task
-    return str(invariant(braid, max_len=max_len))
-
-
 def cmd_invariant(args) -> int:
     lines = list(args.words)
     if args.file:
@@ -67,15 +62,14 @@ def cmd_invariant(args) -> int:
             braids.append(parse_braid(_capped(line), args.gens))
         except (ParseError, ValueError) as exc:
             raise ParseError(f"line {lineno}: {exc}") from exc
-    tasks = [(b, args.max_len) for b in braids]
     # the pool starts all of its workers at once, so never more than can run
-    workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
+    workers = min(args.jobs, len(braids), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(_braid_invariant, tasks))
+            values = list(pool.map(invariant, braids))
     else:
-        values = [_braid_invariant(t) for t in tasks]
-    for line, value in zip(lines, values):
+        values = [invariant(b) for b in braids]
+    for line, value in zip(lines, map(str, values)):
         _emit(args, {"input": line, "gens": args.gens, "invariant": value}, value)
     return 0
 
@@ -193,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--max-len", type=_at_least(0), default=DEFAULT_MAX_LEN)
 
     p = sub.add_parser("invariant", help="link invariant of braid-word closures")
-    common(p, typed=False, gens=_at_least(2))
+    common(p, typed=False, capped=False, gens=_at_least(2))
     p.add_argument("words", nargs="*", help="braid words, e.g. 's1 s1 s1'")
     p.add_argument("--file", help="newline-delimited braid words")
     p.add_argument("--jobs", type=_at_least(1), default=1)

@@ -83,17 +83,23 @@ def braid_image(b: BraidWord, max_len: int = DEFAULT_MAX_LEN) -> TLElement:
     return e_to_element(b.graph, e_word(b.graph, "T", b.letters, max_len))
 
 
+def _conjugate_wrap(b: BraidWord, prefix: list, core: int) -> tuple:
+    """The letters of ``b``, each wrap letter a^e replaced by the conjugate
+    prefix s_core^e prefix^-1; plain letters are kept."""
+    inverse = [(s, -e) for s, e in reversed(prefix)]
+    return tuple(x for s, e in b.letters
+                 for x in (prefix + [(core, e)] + inverse if s == b.gens - 1 else [(s, e)]))
+
+
 def braid_lift(b: BraidWord) -> BraidWord:
-    """One tower step at the braid level: plain letters are kept and each
-    wrap letter becomes its three-letter conjugate one rank up."""
-    m = b.gens
-    letters: list = []
-    for s, e in b.letters:
-        if s < m - 1:
-            letters.append((s, e))
-        else:
-            letters.extend([(m - 1, 1), (m, e), (m - 1, -1)])
-    return BraidWord(m + 1, tuple(letters))
+    """One tower step at the braid level: a^e becomes s_m a^e s_m^-1."""
+    return BraidWord(b.gens + 1, _conjugate_wrap(b, [(b.gens - 1, 1)], b.gens))
+
+
+def braid_collapse(b: BraidWord) -> tuple:
+    """E at the braid level, the signed letters of a classical braid on
+    ``b.gens`` strands: a^e becomes s1 ... s(m-2) s(m-1)^e s(m-2)^-1 ... s1^-1."""
+    return _conjugate_wrap(b, [(i, 1) for i in range(b.gens - 2)], b.gens - 2)
 
 
 # ---------------------------------------------------------------------------
@@ -105,14 +111,13 @@ def _gen_images(kind: str, m: int) -> tuple:
     """Images of the e-generators of the rank-m affine algebra under F or E,
     as e-elements: plain letters map to themselves, and the wrap letter to
     1 plus the g-image of its braid-level image, a conjugate of one
-    generator: the letters ``braid_lift`` substitutes under F, and
-    s1 ... s(m-1) s(m-2)^-1 ... s1^-1 under E."""
+    generator, the letters that ``braid_lift`` or ``braid_collapse``
+    substitutes."""
+    a = BraidWord(m, ((m - 1, 1),))
     if kind == "F":
-        tgt = affine(m + 1)
-        letters = braid_lift(BraidWord(m, ((m - 1, 1),))).letters
+        tgt, letters = affine(m + 1), braid_lift(a).letters
     elif kind == "E":
-        tgt = path(m - 1)
-        letters = [(i, 1) for i in range(m - 1)] + [(i, -1) for i in range(m - 3, -1, -1)]
+        tgt, letters = path(m - 1), braid_collapse(a)
     else:
         raise ValueError(kind)
     wrap = e_word(tgt, "g", letters)

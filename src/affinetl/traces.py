@@ -25,9 +25,9 @@ from functools import lru_cache
 from typing import Callable
 
 from .algebra import DEFAULT_MAX_LEN, TLElement, e_multiply, e_to_element, e_word
-from .coxeter import CoxeterGraph, affine, fc_word, rotate, word_text
+from .coxeter import CoxeterGraph, affine, fc_word, path, rotate, word_text
 from .errors import LengthLimitExceeded, NotClassifiable, RankMismatch, SingularSystem
-from .morphisms import BraidWord, _f_image
+from .morphisms import BraidWord, _f_image, braid_collapse
 from .scalars import DELTA, L_ONE, L_ZERO, ONE, Laurent, Scalar, qp1_laurent_pow, qp1_pow
 
 # trace value gained by a strand the word never touches: -(1+q)/sqrt(q)
@@ -103,23 +103,24 @@ def rho(x: TLElement) -> Scalar:
     return _trace_sum(x, lambda w: _rho_word(x.graph.gens, w))
 
 
-def invariant(b: BraidWord, max_len: int = DEFAULT_MAX_LEN) -> Scalar:
+def invariant(b: BraidWord) -> Scalar:
     """The link invariant of the closure of an affine braid word.
 
     No writhe correction is applied: the trace satisfies both stabilization
     signs on the nose, so the raw composite is already invariant and the
-    unknot receives value 1.  It is rho of the braid image, summed over
-    Z[v, 1/v] in the e-basis, where the (1+q)^|w| factors of the image and
-    of the trace cancel.
+    unknot receives value 1.  E is an algebra map, so rho of the braid image
+    is the Jones trace of the T-image of the classical braid
+    ``braid_collapse(b)``, summed over Z[v, 1/v] in the e-basis, where the
+    (1+q)^|w| factors of the image and of the trace cancel.
 
     >>> from .morphisms import parse_braid
     >>> print(invariant(parse_braid("s1 s1 s1", 2)))
     -v^8+v^6+v^2
     """
-    m = b.gens
+    n = b.gens - 1
     out = L_ZERO
-    for w, c in e_word(b.graph, "T", b.letters, max_len).items():
-        out = out + c * _rho_word(m, w)
+    for w, c in e_word(path(n), "T", braid_collapse(b)).items():
+        out = out + c * _trace_f_word(n, w)
     return out.to_scalar()
 
 

@@ -4,9 +4,10 @@
 ``cli.main``, ``Scalar`` arithmetic and every function one module imports
 from another, and reads the caches of ``_f_image``, ``_rho_word`` and
 ``_trace_f_word``.  A rename in the package would break the benchmark, so
-this installs the tracer in a fresh interpreter, runs one invariant and one
-verify suite, and checks the per-layer metrics it reports.  It only reads
-``bench/``.
+this installs the tracer in a fresh interpreter, runs one invariant, one
+affine trace (the invariant alone reaches neither ``_rho_word`` nor
+``_f_image``) and one verify suite, and checks the per-layer metrics it
+reports.  It only reads ``bench/``.
 """
 import json
 import os
@@ -26,7 +27,8 @@ tracer = spans.Tracer()
 spans.install(tracer)
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [affinetl.cli.main(["invariant", "--gens", "3", "a s1 s2^-1 s1"]),
-             affinetl.cli.main(["verify", "--suite", "relations", "--gens", "2"])]
+             affinetl.cli.main(["verify", "--suite", "relations", "--gens", "2"]),
+             affinetl.cli.main(["trace", "--gens", "3", "[s1 a]"])]
 print(json.dumps({"codes": codes, "per_layer": spans.per_layer(tracer)}))
 """
 
@@ -36,7 +38,7 @@ def test_bench_tracer_finds_every_name():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
-    assert out["codes"] == [0, 0]
+    assert out["codes"] == [0, 0, 0]
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         declared = {m["name"] for m in json.load(fh)["per_layer"]}
     per_layer = out["per_layer"]

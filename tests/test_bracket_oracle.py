@@ -92,9 +92,31 @@ def test_bracket_matches_known_links():
     assert str(bracket_jones(trefoil).to_scalar()) == "-v^8+v^6+v^2"
 
 
-@pytest.mark.parametrize("m", [2, 3, 4, 5])
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7])
 def test_invariant_matches_bracket_oracle(m):
     rng = random.Random(f"bracket/{m}")
     for _ in range(45):
         b = seeded_braid(m, rng, rng.randint(0, 12))
         assert invariant(b) == bracket_jones(b).to_scalar(), b
+
+
+def cycles(b: BraidWord) -> int:
+    """The components of the closure: the cycles of the permutation of the
+    collapsed braid."""
+    perm = list(range(b.gens))
+    for s, _ in collapse(b):
+        perm[s], perm[s + 1] = perm[s + 1], perm[s]
+    seen, count = set(), 0
+    for start in range(b.gens):
+        count += start not in seen
+        while start not in seen:
+            seen.add(start)
+            start = perm[start]
+    return count
+
+
+def test_long_braid_is_not_capped():
+    """72 letters at rank 3: no basis word of the collapsed braid on 3
+    strands has more than 2 letters, so no word-length cap applies."""
+    b = BraidWord(3, ((0, 1), (1, 1), (2, 1)) * 24)
+    assert invariant(b).eval_at(1) == (-2) ** (cycles(b) - 1)

@@ -132,7 +132,6 @@ def test_multiply_caps_juxtaposed_factors(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["invariant", "--max-len", "-1", "s1"],
     ["multiply", "--max-len", "-1", "[s1]"],
     ["reduce", "--max-len", "-1", "s1"],
     ["enumerate-fc", "--gens", "3", "--max-len", "-1"],
@@ -212,7 +211,7 @@ def test_verify_rejects_kmax_past_the_solver_bound(capsys):
     assert err.startswith("error: ") and "21" in err
 
 
-@pytest.mark.parametrize("argv", [["trace", "[s1 a]"], ["verify"]])
+@pytest.mark.parametrize("argv", [["trace", "[s1 a]"], ["verify"], ["invariant", "s1"]])
 def test_trace_and_verify_take_no_max_len(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--max-len", "1"])

@@ -523,10 +523,23 @@ def test_invariant_under_markov_moves(rng):
             assert invariant(free_reduce(b)) == invariant(b)
 
 
-def test_invariant_is_trace_of_image(rng):
-    for _ in range(10):
-        b = random_braid(3, rng, 5)
-        assert invariant(b) == rho(braid_image(b))
+def test_invariant_is_trace_of_image(rng, monkeypatch):
+    """The invariant is rho of the braid image, computed as the Jones trace
+    of the collapsed classical braid: it needs neither the affine trace of a
+    word nor the E-image of one."""
+    import affinetl.morphisms as morphisms
+    import affinetl.traces as traces
+
+    braids = [random_braid(m, rng, 5) for m in (2, 3, 4, 5, 6) for _ in range(10)]
+    want = [rho(braid_image(b)) for b in braids]
+
+    def refuse(*args):
+        raise AssertionError("the invariant took the affine route")
+
+    monkeypatch.setattr(traces, "_rho_word", refuse)
+    monkeypatch.setattr(morphisms, "_f_image", refuse)
+    for b, value in zip(braids, want):
+        assert invariant(b) == value, b
 
 
 # ---------------------------------------------------------------------------
