@@ -43,8 +43,8 @@ from .scalars import (
     ONE,
     Laurent,
     Scalar,
+    _ScalarParser,
     delta_pow,
-    parse_scalar,
     qp1_laurent_pow,
     qp1_pow,
 )
@@ -408,7 +408,7 @@ def parse_element(text: str, graph: CoxeterGraph) -> TLElement:
     """
     if not text.strip():
         raise ParseError("empty element text")
-    out = TLElement.zero(graph)
+    scalars, terms = _ScalarParser(), {}
     for sign, term in _split_top_level_terms(text):
         term = term.strip()
         bra = term.find("[")
@@ -421,13 +421,20 @@ def parse_element(text: str, graph: CoxeterGraph) -> TLElement:
         if head == "":
             coeff = ONE
         elif head.endswith("*"):
-            coeff = parse_scalar(head[:-1])
+            coeff = scalars.parse(head[:-1])
         else:
             raise ParseError(f"expected '*' between scalar and word in {term!r}")
         letters = tuple(graph.parse_letter(tok) for tok in term[bra + 1:ket].split())
-        mono = TLElement.monomial(graph, letters, coeff * sign)
-        out = out + mono
-    return out
+        _add_term(terms, scalars, graph, letters, coeff * sign)
+    return TLElement._canonical(graph, terms)
+
+
+def _add_term(terms: dict, scalars: _ScalarParser, graph, letters, coeff: Scalar):
+    """Add ``coeff * f_letters`` to the terms of a parsed element; the sum of
+    like terms is charged and degree-bounded like a sum inside a scalar text,
+    so one budget covers the whole element."""
+    w = fc_word(graph, letters)
+    terms[w] = scalars.add(terms[w], coeff) if w in terms else coeff
 
 
 def element_to_json(x: TLElement) -> list:
@@ -438,8 +445,8 @@ def element_to_json(x: TLElement) -> list:
 
 
 def element_from_json(data, graph: CoxeterGraph) -> TLElement:
-    out = TLElement.zero(graph)
+    scalars, terms = _ScalarParser(), {}
     for item in data:
         letters = tuple(graph.parse_letter(tok) for tok in item["word"])
-        out = out + TLElement.monomial(graph, letters, parse_scalar(item["coeff"]))
-    return out
+        _add_term(terms, scalars, graph, letters, scalars.parse(item["coeff"]))
+    return TLElement._canonical(graph, terms)

@@ -9,7 +9,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import verify as verify_mod
 from .algebra import (
@@ -54,7 +53,7 @@ def cmd_invariant(args) -> int:
     if args.file:
         with open(args.file) as fh:
             lines.extend(line.rstrip("\n") for line in fh)
-    if not lines and not sys.stdin.isatty():
+    elif not lines and not sys.stdin.isatty():
         lines.extend(line.rstrip("\n") for line in sys.stdin)
     braids = []
     for lineno, line in enumerate(lines, start=1):
@@ -62,9 +61,18 @@ def cmd_invariant(args) -> int:
             braids.append(parse_braid(_capped(line), args.gens))
         except (ParseError, ValueError) as exc:
             raise ParseError(f"line {lineno}: {exc}") from exc
-    # the pool starts all of its workers at once, so never more than can run
-    workers = min(args.jobs, len(braids), os.cpu_count() or 1)
+    # the pool starts all of its workers at once, so never more than the CPUs
+    # this process may run on (its affinity mask, where the platform has one);
+    # it is imported here alone, because loading it costs a cold process more
+    # than a small invariant
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    workers = min(args.jobs, len(braids), cpus)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             values = list(pool.map(invariant, braids))
     else:

@@ -553,9 +553,18 @@ def format_scalar(s: Scalar) -> str:
 
 
 # the largest degree in v of a parsed value, of each power in it, and of each
-# partial sum or product: parsing costs grow with its square, and printed
-# values stay far below it
+# partial sum or product, checked on a bound of it before the operation is
+# done: parsing costs grow with its square, and printed values stay far
+# below it
 MAX_PARSE_DEGREE = 512
+
+# the most work one parser may do, charged before each operation: about
+# (deg a + 1)(deg b + 1) for a sum, product or quotient of a and b, but
+# linear for a sum of two polynomials, which adds term by term; for a power,
+# the half power squared that its last squaring multiplies, but linear when
+# the base is a single term such as v.  Over it the parse stops within about
+# a second; the text of DELTA^64 (4,347 characters) costs about 107,000
+MAX_PARSE_WORK = 10 ** 6
 
 
 def _degree(x: Scalar) -> int:
@@ -563,9 +572,20 @@ def _degree(x: Scalar) -> int:
 
 
 class _ScalarParser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+    """Reads scalar texts under one work budget, which also covers the sums
+    of parsed values that :meth:`add` makes (the like terms of an element)."""
+
+    def __init__(self):
+        self.work = 0
+
+    def parse(self, text: str) -> Scalar:
+        self.text, self.pos = text, 0
+        out = self.expr()
+        self.skip_ws()
+        if self.pos != len(text):
+            self.error("trailing input")
+        self.pos = None  # a later sum of parsed values has no text position
+        return out
 
     def error(self, msg):
         raise ParseError(msg, self.pos)
@@ -613,7 +633,7 @@ class _ScalarParser:
             op = self.peek()
             self.pos += 1
             t = self.term()
-            out = self.bounded(out + t if op == "+" else out - t)
+            out = self.add(out, t if op == "+" else -t)
         return out
 
     def term(self) -> Scalar:
@@ -622,7 +642,7 @@ class _ScalarParser:
             op = self.peek()
             self.pos += 1
             f = self.factor()
-            out = self.bounded(out * f if op == "*" else out / f)
+            out = self.mul(out, f if op == "*" else f.inv())
         return out
 
     def factor(self) -> Scalar:
@@ -635,12 +655,37 @@ class _ScalarParser:
         # degree 1, which bounds its digits as well
         if abs(k) * max(_degree(base), 1) > MAX_PARSE_DEGREE:
             self.error(f"power exceeds degree {MAX_PARSE_DEGREE}")
+        half = (abs(k) + 1) // 2 * _degree(base)
+        single_term = not any(base.num[:-1] + base.den[:-1])
+        self.step(abs(k) * _degree(base), 0 if single_term else half, half)
         return base ** k
 
-    def bounded(self, x: Scalar) -> Scalar:
-        if _degree(x) > MAX_PARSE_DEGREE:
+    def add(self, a: Scalar, b: Scalar) -> Scalar:
+        if a.den == b.den:
+            degree = max(_degree(a), _degree(b))
+        else:
+            degree = max(len(a.num) + len(b.den), len(b.num) + len(a.den),
+                         len(a.den) + len(b.den)) - 2
+        if len(a.den) == len(b.den) == 1:  # polynomials add term by term
+            self.step(degree, 0, _degree(a) + _degree(b))
+        else:
+            self.step(degree, _degree(a), _degree(b))
+        return a + b
+
+    def mul(self, a: Scalar, b: Scalar) -> Scalar:
+        self.step(max(len(a.num) + len(b.num), len(a.den) + len(b.den)) - 2,
+                  _degree(a), _degree(b))
+        return a * b
+
+    def step(self, degree: int, a_degree: int, b_degree: int):
+        """Refuse, before it is done, an operation whose value may pass the
+        degree cap or whose work, (a_degree + 1)(b_degree + 1), would pass
+        the budget."""
+        if degree > MAX_PARSE_DEGREE:
             self.error(f"value exceeds degree {MAX_PARSE_DEGREE}")
-        return x
+        self.work += (a_degree + 1) * (b_degree + 1)
+        if self.work > MAX_PARSE_WORK:
+            self.error(f"parse work exceeds the budget of {MAX_PARSE_WORK}")
 
     def primary(self) -> Scalar:
         ch = self.peek()
@@ -668,9 +713,4 @@ def parse_scalar(text: str) -> Scalar:
     >>> parse_scalar(format_scalar(DELTA ** 3)) == DELTA ** 3
     True
     """
-    p = _ScalarParser(text)
-    out = p.expr()
-    p.skip_ws()
-    if p.pos != len(text):
-        p.error("trailing input")
-    return out
+    return _ScalarParser().parse(text)

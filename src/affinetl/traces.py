@@ -20,9 +20,9 @@ family's sequence collapses both onto the first.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 from .algebra import DEFAULT_MAX_LEN, TLElement, e_multiply, e_to_element, e_word
 from .coxeter import CoxeterGraph, affine, fc_word, path, rotate, word_text

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections import defaultdict
-from typing import NamedTuple
+from collections import defaultdict, namedtuple
 
 from .algebra import (
     TLElement,
@@ -50,10 +49,7 @@ from .traces import (
 )
 
 
-class CheckResult(NamedTuple):
-    name: str
-    ok: bool
-    detail: str = ""
+CheckResult = namedtuple("CheckResult", "name ok detail", defaults=("",))
 
 
 SUITES = ("relations", "traces", "markov", "paper-identities")

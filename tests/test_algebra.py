@@ -287,6 +287,20 @@ def test_parse_corner_cases():
     )
 
 
+def test_parse_budget_spans_the_element():
+    # each coefficient alone is within the budget, all of them together are
+    # not; like terms add under the same degree bound as a scalar text
+    g = affine(3)
+    with pytest.raises(ParseError, match="budget"):
+        parse_element(" + ".join(["(1+v)^512*[s1]"] * 20), g)
+    with pytest.raises(ParseError, match="budget"):
+        element_from_json([{"coeff": "(1+v)^512", "word": [f"s{i % 2 + 1}"]} for i in range(20)], g)
+    with pytest.raises(ParseError, match="degree 512"):
+        parse_element("1/(1+v)^256*[s1] + 1/(2+v)^256*[s1] + 1/(3+v)^256*[s1]", g)
+    x = parse_element("q*[s1] + (1/(1+q))*[s1 s2] - q*[s1]", g)
+    assert x == TLElement.monomial(g, (0, 1), ONE / (ONE + Q))
+
+
 def test_parse_errors():
     g3 = affine(3)
     with pytest.raises(InvalidGenerator):

@@ -1,6 +1,7 @@
 import io
 import json
 import sys
+import time
 
 import pytest
 
@@ -176,6 +177,22 @@ def test_input_over_the_cap_is_a_usage_error(capsys, monkeypatch, tmp_path):
     assert code == 0 and out == "1\n"
 
 
+@pytest.mark.parametrize("unit", ["1/(1+v)^256+1/(2+v)^256", "(1+v)^512", "1/(1+v)^512",
+                                  "q^256/(q^255+v)+v/(q^255+v)", "v^512/(v^512+1)"])
+def test_costly_element_at_the_cap_exits_2(capsys, unit):
+    # each used to parse for 0.8-95 s; the work budget or the degree bound
+    # now refuses it within about a second, and 5 s only guards against a hang
+    from affinetl.cli import MAX_INPUT_CHARS
+
+    n = (MAX_INPUT_CHARS - len("()*[s1]") + 1) // (len(unit) + 1)
+    text = "(" + "+".join([unit] * n) + ")*[s1]"
+    assert MAX_INPUT_CHARS - len(unit) <= len(text) <= MAX_INPUT_CHARS
+    start = time.perf_counter()
+    code, out, err = run(capsys, "trace", "--gens", "3", text)
+    assert time.perf_counter() - start < 5
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
 class UnreadableStdin:
     """A piped stdin that fails the test when it is read."""
 
@@ -245,7 +262,8 @@ def test_verify_deterministic_json(capsys):
 
 
 def test_invariant_jobs_clamped_to_tasks_and_cpus(capsys, monkeypatch, tmp_path):
-    from affinetl import cli
+    import concurrent.futures
+    import os
 
     started = []
 
@@ -264,14 +282,50 @@ def test_invariant_jobs_clamped_to_tasks_and_cpus(capsys, monkeypatch, tmp_path)
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     f = tmp_path / "words.txt"
     f.write_text("s1\ns1 s1\ns1 s1 s1\n")
     huge = str(10 ** 9)
-    for cpus, jobs, expected in ((4, huge, [3]), (2, huge, [2]), (None, huge, []), (4, "1", [])):
+    cases = ((4, huge, [3]), (2, huge, [2]), (1, huge, []), (4, "1", []))
+
+    def check(cpus, jobs, expected):
         started.clear()
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
         code, out, _ = run(capsys, "invariant", "--gens", "2", "--jobs", jobs, "--file", str(f))
         assert code == 0
         assert out.splitlines() == ["1", "-v^5-v", "-v^8+v^6+v^2"]
         assert started == expected, (cpus, jobs)
+
+    # the affinity mask counts, not the machine's CPUs
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    for cpus, jobs, expected in cases:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        check(cpus, jobs, expected)
+    # without an affinity call, the machine's CPUs
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    for cpus, jobs, expected in cases + ((None, huge, []),):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        check(cpus, jobs, expected)
+
+
+def test_invariant_reads_no_stdin_after_an_empty_file(capsys, monkeypatch, tmp_path):
+    f = tmp_path / "empty.txt"
+    f.write_text("")
+    monkeypatch.setattr(sys, "stdin", io.StringIO("s1\n"))
+    assert run(capsys, "invariant", "--gens", "2", "--file", str(f)) == (0, "", "")
+
+
+def test_import_loads_no_pool_or_typing():
+    """A cold CLI process pays only for what its command runs: the process
+    pool is imported by ``invariant --jobs`` above 1 alone."""
+    import pathlib
+    import subprocess
+
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    probe = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); import affinetl, affinetl.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m.partition('.')[0] in ('concurrent', 'multiprocessing', 'typing')))"
+    )
+    out = subprocess.run([sys.executable, "-S", "-s", "-c", probe],
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"

@@ -97,6 +97,18 @@ def test_parse_round_trips_the_solver_values():
         assert parse_scalar(format_scalar(x)) == x
 
 
+def test_parse_work_is_budgeted():
+    # printed values round-trip well within the budget ...
+    for k in range(21):
+        assert parse_scalar(format_scalar(DELTA ** k)) == DELTA ** k
+    # ... while text that only repeats costly steps is refused part way, and
+    # a sum that may pass the degree bound is refused before it is formed
+    with pytest.raises(ParseError, match="budget"):
+        parse_scalar("+".join(["(1+v)^512"] * 20))
+    with pytest.raises(ParseError, match="degree 512"):
+        parse_scalar("1/(1+v)^256 + 1/(2+v)^256 + 1/(3+v)^256")
+
+
 @given(scalars)
 @settings(max_examples=200, deadline=None)
 def test_format_parse_roundtrip(a):
