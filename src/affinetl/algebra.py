@@ -239,7 +239,7 @@ def _product(g: CoxeterGraph, x: dict, y: dict, scale, max_len: int) -> dict:
 
 def _f_scale(c: Scalar, loops: int, squares: int) -> Scalar:
     """c DELTA^loops: ``c`` times the factor of an f-basis monomial product."""
-    return c * delta_pow(loops)
+    return c * delta_pow(loops) if loops else c
 
 
 def multiply(x: TLElement, y: TLElement, *, max_len: int = DEFAULT_MAX_LEN) -> TLElement:

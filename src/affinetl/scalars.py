@@ -13,7 +13,9 @@ kept in canonical form, which makes equality and hashing plain tuple work:
 
 Polynomials are dense coefficient tuples starting with the constant term,
 as in ``(0, 0, 1)`` for v^2.  Degrees stay small at the scales this package
-targets, so the gcd is a primitive-PRS Euclid over the integers.
+targets, where the fastest gcd is the heuristic one: one integer gcd of the
+two polynomials' values at a large enough integer, read back as a
+polynomial (:func:`_pgcd`).
 
 The subring Z[v, 1/v] of Laurent polynomials has its own gcd-free type,
 :class:`Laurent`, for the computations whose values never leave it.
@@ -28,10 +30,15 @@ True
 from __future__ import annotations
 
 import math
+from contextvars import ContextVar
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DivisionByZero, InexactDivision, ParseError
+
+# the work charge of a failed heuristic-gcd point, set while a parser
+# computes a sum or product (see :meth:`_ScalarParser.run`)
+_gcd_meter = ContextVar("_gcd_meter", default=None)
 
 # ---------------------------------------------------------------------------
 # dense integer polynomials as tuples, constant term first
@@ -65,47 +72,76 @@ def _pmul(a, b):
     return _ptrim(out)
 
 
-def _pcontent(a) -> int:
-    g = 0
-    for c in a:
-        g = math.gcd(g, c)
-    return g
-
-
 def _pprimitive(a):
     """Primitive part with positive leading coefficient."""
     if not a:
         return ()
-    g = _pcontent(a)
+    g = math.gcd(*a)
     if a[-1] < 0:
         g = -g
     return tuple(c // g for c in a)
 
 
-def _ppseudo_rem(a, b):
-    """Pseudo-remainder of a by b (b nonzero), integer arithmetic only."""
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    while len(a) - 1 >= db and _ptrim(a):
-        da, la = len(a) - 1, a[-1]
-        a = [c * lb for c in a]
-        for i, d in enumerate(b):
-            a[da - db + i] -= la * d
-        a = list(_ptrim(a))
-    return _ptrim(a)
-
-
 def _pgcd(a, b):
-    """Primitive gcd over the integers, positive leading coefficient."""
-    a, b = _pprimitive(a), _pprimitive(b)
-    while b:
-        a, b = b, _pprimitive(_ppseudo_rem(a, b))
-    return a
+    """The primitive gcd g of two nonconstant polynomials, with positive
+    leading coefficient, and the cofactors: ``(g, a/g, b/g)``.  A gcd of 1
+    returns ``a`` and ``b`` themselves.
+
+    This is the heuristic gcd of Char, Geddes and Gonnet (J. Symbolic
+    Comput. 7, 1989): one integer gcd h = gcd(a(x), b(x)) at an integer
+    x >= 2 min(|a|, |b|) + 2, where |.| is the largest absolute coefficient.
+    The digits of h in base x, each taken in (-x/2, x/2], are the
+    coefficients of a candidate G whose primitive part is accepted once it
+    divides both a and b; otherwise x grows and the step repeats.
+
+    Acceptance is sound.  Say |a| <= |b| and G divides both, so the gcd g is
+    G c for some c in Z[v], and a = g a', b = g b'.  Then h = |g(x)| m with
+    m = gcd(a'(x), b'(x)), and h is also the content k of the candidate
+    times G(x), so c(x) divides k, and |k| <= x/2 as k lc(G) is a digit.
+    Every root of c is a root of a, of modulus below 1 + |a| <= x/2 by
+    Cauchy's bound, so a nonconstant c has |c(x)| > (x/2)^deg c >= |k|:
+    c is constant, and G is the gcd.  A constant candidate is the gcd 1.
+
+    The loop ends.  a' and b' are coprime, so s a' + t b' = r for some s, t
+    in Z[v] and a nonzero integer r (their resultant, when neither is
+    constant), and m divides r, which does not depend on x.  Once x exceeds
+    twice the largest coefficient of r g, the digits of h are those of m g,
+    whose primitive part is g.
+
+    A failed point needs m >= x / (2 |g|), so a divisor of r near x.  The
+    point grows by the factor 73794/27011 of Char, Geddes and Gonnet, not
+    by an affine map: x -> 2x + 1 doubles x + 1, so 1 + v against
+    1 + v + 2^k fails at each of about k points.  Under a parser, each
+    failed point is charged to its work budget (:class:`_ScalarParser`),
+    which stops a crafted pair that fails at many points.
+    """
+    x = 2 * min(max(map(abs, a)), max(map(abs, b))) + 29
+    while True:
+        ax, bx = _peval(a, x), _peval(b, x)
+        h = math.gcd(ax, bx)
+        digits = []
+        while h:
+            h, d = divmod(h, x)
+            if d > x // 2:
+                d -= x
+                h += 1
+            digits.append(d)
+        if len(digits) == 1:
+            return (1,), a, b
+        g = _pprimitive(digits)
+        try:
+            return g, _pdiv_exact(a, g), _pdiv_exact(b, g)
+        except InexactDivision:
+            charge = _gcd_meter.get()
+            if charge is not None:
+                # a gcd of integers of n and m bits costs about n m
+                charge((1 + ax.bit_length() // 512) * (1 + bx.bit_length() // 512))
+            x = x * 73794 // 27011
 
 
 def _pdiv_exact(a, b):
-    """Exact quotient a/b in Z[v]; the caller guarantees divisibility, so
-    every intermediate leading coefficient divides evenly.
+    """Exact quotient a/b in Z[v], or ``InexactDivision`` if b does not
+    divide a.
 
     >>> _pdiv_exact((1, 0, 1), (1, 1))
     Traceback (most recent call last):
@@ -132,7 +168,7 @@ def _pdiv_exact(a, b):
 
 def _normalize_content(num, den):
     """Divide out the joint integer content and fix the denominator sign."""
-    c = math.gcd(_pcontent(num), _pcontent(den))
+    c = math.gcd(*num, *den)
     if den[-1] < 0:
         c = -c
     if c != 1:
@@ -141,8 +177,9 @@ def _normalize_content(num, den):
     return num, den
 
 
-def _peval(a, x: Fraction) -> Fraction:
-    acc = Fraction(0)
+def _peval(a, x):
+    """a(x) by Horner's rule, at an integer or a Fraction x."""
+    acc = 0
     for c in reversed(a):
         acc = acc * x + c
     return acc
@@ -201,9 +238,7 @@ class Scalar:
             den = (1,)
         else:
             if len(den) > 1 and len(num) > 1:
-                g = _pgcd(num, den)
-                if len(g) > 1:
-                    num, den = _pdiv_exact(num, g), _pdiv_exact(den, g)
+                _, num, den = _pgcd(num, den)
             num, den = _normalize_content(num, den)
         self.num = num
         self.den = den
@@ -253,22 +288,17 @@ class Scalar:
         b, d = self.den, other.den
         if b == d:
             t = _padd(self.num, other.num)
-            if len(b) == 1:
-                return Scalar._reduced(t, b)
-            g2 = _pgcd(t, b)
-            if len(g2) > 1:
-                return Scalar._reduced(_pdiv_exact(t, g2), _pdiv_exact(b, g2))
+            if len(b) > 1 and len(t) > 1:
+                _, t, b = _pgcd(t, b)
             return Scalar._reduced(t, b)
         # t / (b d / g) with g = gcd(b, d); common factors of the sum live in g
-        g = _pgcd(b, d) if (len(b) > 1 and len(d) > 1) else (1,)
-        if len(g) > 1:
-            db, dd = _pdiv_exact(b, g), _pdiv_exact(d, g)
+        if len(b) > 1 and len(d) > 1:
+            g, db, dd = _pgcd(b, d)
         else:
-            db, dd = b, d
+            g, db, dd = (1,), b, d
         t = _padd(_pmul(self.num, dd), _pmul(other.num, db))
-        g2 = _pgcd(t, g) if (len(g) > 1 and len(t) > 1) else (1,)
-        if len(g2) > 1:
-            t, g = _pdiv_exact(t, g2), _pdiv_exact(g, g2)
+        if len(g) > 1 and len(t) > 1:
+            _, t, g = _pgcd(t, g)
         return Scalar._reduced(t, _pmul(_pmul(db, dd), g))
 
     __radd__ = __add__
@@ -294,13 +324,9 @@ class Scalar:
             return ZERO
         # cross-cancel: each factor is already reduced
         if len(n1) > 1 and len(d2) > 1:
-            g = _pgcd(n1, d2)
-            if len(g) > 1:
-                n1, d2 = _pdiv_exact(n1, g), _pdiv_exact(d2, g)
+            _, n1, d2 = _pgcd(n1, d2)
         if len(n2) > 1 and len(d1) > 1:
-            g = _pgcd(n2, d1)
-            if len(g) > 1:
-                n2, d1 = _pdiv_exact(n2, g), _pdiv_exact(d1, g)
+            _, n2, d1 = _pgcd(n2, d1)
         return Scalar._reduced(_pmul(n1, n2), _pmul(d1, d2))
 
     __rmul__ = __mul__
@@ -562,13 +588,22 @@ MAX_PARSE_DEGREE = 512
 # (deg a + 1)(deg b + 1) for a sum, product or quotient of a and b, but
 # linear for a sum of two polynomials, which adds term by term; for a power,
 # the half power squared that its last squaring multiplies, but linear when
-# the base is a single term such as v.  Over it the parse stops within about
-# a second; the text of DELTA^64 (4,347 characters) costs about 107,000
+# the base is a single term such as v.  Each charge is multiplied by
+# (1 + B // 512)^2 when the coefficients, of the operands or of the half
+# power, may have B bits: products and gcds of big integers cost more.  A
+# gcd point that fails (see :func:`_pgcd`) is charged as it happens.  Over
+# it the parse stops within about a second; the text of DELTA^64 (4,347
+# characters) costs about 107,000
 MAX_PARSE_WORK = 10 ** 6
 
 
 def _degree(x: Scalar) -> int:
     return max(len(x.num), len(x.den)) - 1
+
+
+def _bits(x: Scalar) -> int:
+    """The bit length of the largest coefficient of x."""
+    return max(map(abs, x.num + x.den)).bit_length()
 
 
 class _ScalarParser:
@@ -652,12 +687,16 @@ class _ScalarParser:
         self.pos += 1
         k = self.integer()
         # checked before the power is built; an integer base counts as
-        # degree 1, which bounds its digits as well
+        # degree 1
         if abs(k) * max(_degree(base), 1) > MAX_PARSE_DEGREE:
             self.error(f"power exceeds degree {MAX_PARSE_DEGREE}")
-        half = (abs(k) + 1) // 2 * _degree(base)
+        halves = (abs(k) + 1) // 2
+        half = halves * _degree(base)
         single_term = not any(base.num[:-1] + base.den[:-1])
-        self.step(abs(k) * _degree(base), 0 if single_term else half, half)
+        # |coefficient of p^j| <= (sum of |coefficients of p|)^j
+        norm = max(sum(map(abs, base.num)), sum(map(abs, base.den)))
+        self.step(abs(k) * _degree(base), 0 if single_term else half, half,
+                  halves * (norm - 1).bit_length())
         return base ** k
 
     def add(self, a: Scalar, b: Scalar) -> Scalar:
@@ -666,24 +705,37 @@ class _ScalarParser:
         else:
             degree = max(len(a.num) + len(b.den), len(b.num) + len(a.den),
                          len(a.den) + len(b.den)) - 2
+        bits = max(_bits(a), _bits(b))
         if len(a.den) == len(b.den) == 1:  # polynomials add term by term
-            self.step(degree, 0, _degree(a) + _degree(b))
+            self.step(degree, 0, _degree(a) + _degree(b), bits)
         else:
-            self.step(degree, _degree(a), _degree(b))
-        return a + b
+            self.step(degree, _degree(a), _degree(b), bits)
+        return self.run(Scalar.__add__, a, b)
 
     def mul(self, a: Scalar, b: Scalar) -> Scalar:
         self.step(max(len(a.num) + len(b.num), len(a.den) + len(b.den)) - 2,
-                  _degree(a), _degree(b))
-        return a * b
+                  _degree(a), _degree(b), max(_bits(a), _bits(b)))
+        return self.run(Scalar.__mul__, a, b)
 
-    def step(self, degree: int, a_degree: int, b_degree: int):
+    def run(self, op, a: Scalar, b: Scalar) -> Scalar:
+        """op(a, b), with each failed point of its gcds charged to the
+        budget."""
+        token = _gcd_meter.set(self.charge)
+        try:
+            return op(a, b)
+        finally:
+            _gcd_meter.reset(token)
+
+    def step(self, degree: int, a_degree: int, b_degree: int, bits: int):
         """Refuse, before it is done, an operation whose value may pass the
-        degree cap or whose work, (a_degree + 1)(b_degree + 1), would pass
-        the budget."""
+        degree cap or whose work, (a_degree + 1)(b_degree + 1) products of
+        coefficients of up to ``bits`` bits, would pass the budget."""
         if degree > MAX_PARSE_DEGREE:
             self.error(f"value exceeds degree {MAX_PARSE_DEGREE}")
-        self.work += (a_degree + 1) * (b_degree + 1)
+        self.charge((a_degree + 1) * (b_degree + 1) * (1 + bits // 512) ** 2)
+
+    def charge(self, work: int):
+        self.work += work
         if self.work > MAX_PARSE_WORK:
             self.error(f"parse work exceeds the budget of {MAX_PARSE_WORK}")
 

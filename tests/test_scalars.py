@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -22,7 +23,15 @@ from affinetl import (
     format_scalar,
     parse_scalar,
 )
-from affinetl.scalars import Laurent, qp1_laurent_pow
+from affinetl.scalars import (
+    Laurent,
+    _pdiv_exact,
+    _peval,
+    _pgcd,
+    _pmul,
+    _pprimitive,
+    qp1_laurent_pow,
+)
 
 ints = st.integers(-6, 6)
 polys = st.lists(ints, min_size=1, max_size=4).map(tuple)
@@ -109,6 +118,38 @@ def test_parse_work_is_budgeted():
         parse_scalar("1/(1+v)^256 + 1/(2+v)^256 + 1/(3+v)^256")
 
 
+def test_parse_charges_by_coefficient_bits():
+    # an integer base passes the degree cap, so a power is charged by the
+    # bits of its base, and a sum or product by those of its operands
+    for text in ("9" * 4000 + "^512", "9" * 4000 + "^512*" + "9" * 3000 + "^512",
+                 "(99+v)^512", "1/(" + "9" * 4000 + "+v^200)+1/(" + "8" * 4000 + "+v^250)"):
+        with pytest.raises(ParseError, match="budget"):
+            parse_scalar(text)
+    assert parse_scalar("9^512") == Scalar.from_int(9 ** 512)
+    assert parse_scalar("9" * 4000 + "^2") == Scalar.from_int(int("9" * 4000) ** 2)
+    assert parse_scalar("(9+v)^512") == (V + 9) ** 512
+
+
+# the scalar texts of README.md: inputs, printed values and the trace table
+README_SCALARS = ("q/(1+q)^2", "-1/q", "1/(1+q)", "-v^8+v^6+v^2", "v^2/(v^4+2*v^2+1)",
+                  "2*v^144+v^74+v^70", "-v/(1+q)", "-1/(1+q)^3", "-q^3/(1+q)^3",
+                  "(v^4+2*v^2+1)/(v^2)", "-v/(1+v^2)")
+
+
+def test_readme_scalars_round_trip():
+    for text in README_SCALARS:
+        x = parse_scalar(text)
+        assert parse_scalar(format_scalar(x)) == x
+
+
+def test_big_coefficient_fractions_parse_quickly():
+    # the primitive remainder sequence took seconds on this sum; the
+    # heuristic gcd takes a few integer gcds
+    x = parse_scalar("1/(1+v)^170+1/(2+v)^170+1/(3+v)^170")
+    for v0 in (1, 2):
+        assert x.eval_at(v0) == sum(Fraction(1, (c + v0) ** 170) for c in (1, 2, 3))
+
+
 @given(scalars)
 @settings(max_examples=200, deadline=None)
 def test_format_parse_roundtrip(a):
@@ -173,6 +214,121 @@ def test_canonical_equality_is_structural():
     b = Scalar((0, -1), (-1,))  # -v/-1
     assert b == V
     assert Scalar((0, 0, 2, 0, 2), (0, 2)) == (Q + ONE) * V  # v(q+1) with content
+
+
+# ---------------------------------------------------------------------------
+# the polynomial gcd, against the primitive remainder sequence
+
+
+def _prs_gcd(a, b):
+    """Primitive gcd over the integers, positive leading coefficient, by a
+    primitive pseudo-remainder sequence: the Euclid that the heuristic gcd
+    replaced, kept here as its oracle."""
+    a, b = _pprimitive(a), _pprimitive(b)
+    while b:
+        r = list(a)
+        while len(r) >= len(b):
+            lead = r[-1]
+            r = [c * b[-1] for c in r]
+            for i, d in enumerate(b):
+                r[len(r) - len(b) + i] -= lead * d
+            while r and r[-1] == 0:
+                r.pop()
+        a, b = b, _pprimitive(tuple(r))
+    return a
+
+
+def _random_poly(rng, degree, bound):
+    coeffs = [rng.randint(-bound, bound) for _ in range(degree)]
+    return tuple(coeffs) + (rng.choice((-1, 1)) * rng.randint(1, bound),)
+
+
+def test_heuristic_gcd_matches_the_prs_oracle():
+    rng = random.Random(20261020)
+    for _ in range(1500):
+        bound = rng.choice((3, 100, 10 ** 6, 10 ** 12))
+        common = _random_poly(rng, rng.randint(0, 4), bound)
+        content = rng.choice((1, 1, -1, 6, -10 ** 12))
+        a = _pmul(_pmul(common, _random_poly(rng, rng.randint(1, 5), bound)), (content,))
+        b = _pmul(common, _random_poly(rng, rng.randint(1, 5), bound))
+        g, a_g, b_g = _pgcd(a, b)
+        assert g == _prs_gcd(a, b)
+        assert _pmul(g, a_g) == a and _pmul(g, b_g) == b
+        if g == (1,):
+            assert a_g is a and b_g is b
+
+
+def _gcd_points(monkeypatch, f):
+    """f(), and the integer points at which the gcds inside it evaluated."""
+    from affinetl import scalars
+
+    points, peval = [], scalars._peval
+
+    def spy(a, x):
+        if isinstance(x, int) and x not in points:
+            points.append(x)
+        return peval(a, x)
+
+    monkeypatch.setattr(scalars, "_peval", spy)
+    out = f()
+    monkeypatch.undo()
+    return out, points
+
+
+def test_heuristic_gcd_tries_a_second_point(monkeypatch):
+    a, b = (13, 1), (-14, 7, -3)  # 13 + v and -14 + 7v - 3v^2 are coprime
+    out, points = _gcd_points(monkeypatch, lambda: _pgcd(a, b))
+    assert out == ((1,), a, b) and _prs_gcd(a, b) == (1,)
+    assert len(points) >= 2
+    x = points[0]
+    h = math.gcd(_peval(a, x), _peval(b, x))
+    assert (h % x, h // x) == a  # the first candidate is a itself ...
+    with pytest.raises(InexactDivision):
+        _pdiv_exact(b, a)  # ... which does not divide b
+
+
+def test_gcd_points_keep_no_residue(monkeypatch):
+    # 1 + v against 1 + v + 2^131072: x -> 2x + 1 would keep x + 1 dividing
+    # 2^131072 for about 131,000 points, each with the wrong candidate 1 + v
+    text = "1/(1+v)+1/(1+v+(2^512)^256)"
+    x, points = _gcd_points(monkeypatch, lambda: parse_scalar(text))
+    assert len(points) <= 3
+    assert x.eval_at(1) == Fraction(1, 2) + Fraction(1, 2 + 2 ** 131072)
+
+
+def _crafted_pair_text(monkeypatch, failures):
+    """A sum 1/(1+v) + 1/(1+v+M) whose gcd fails at its first ``failures``
+    points: M is a multiple of x + 1 at each, so the candidate there is the
+    1 + v that does not divide 1 + v + M.  The points depend on 1 + v only,
+    so each M is found from the points of the one before."""
+    m = 1
+    for done in range(failures):
+        _, points = _gcd_points(monkeypatch, lambda: _pgcd((1, 1), (1 + m, 1)))
+        assert len(points) == done + 1
+        m *= points[-1] + 1
+    return f"1/(1+v)+1/(1+v+{m})", f"1/(1+v)+1/(1+v+{m + 2})"
+
+
+def test_failed_gcd_points_are_charged_to_the_parse(monkeypatch):
+    from affinetl import scalars
+
+    crafted, plain = _crafted_pair_text(monkeypatch, 40)
+    works = {}
+    for text in (crafted, plain):
+        parser = scalars._ScalarParser()
+        x, points = _gcd_points(monkeypatch, lambda: parser.parse(text))
+        works[text] = parser.work
+        m = int(text.rsplit("+", 1)[1][:-1])
+        assert x.eval_at(1) == Fraction(1, 2) + Fraction(1, 2 + m)
+    assert len(points) == 1  # the plain pair settles at its first point
+    assert works[crafted] >= works[plain] + 40
+    monkeypatch.setattr(scalars, "MAX_PARSE_WORK", works[plain] + 20)
+    assert parse_scalar(plain)
+    with pytest.raises(ParseError, match="budget"):
+        parse_scalar(crafted)
+    # outside a parser the gcd has no budget and runs to the answer
+    m = int(crafted.rsplit("+", 1)[1][:-1])
+    assert _pgcd((1, 1), (1 + m, 1)) == ((1,), (1, 1), (1 + m, 1))
 
 
 # ---------------------------------------------------------------------------
