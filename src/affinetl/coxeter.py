@@ -19,7 +19,7 @@ normal form under the total order 0 < 1 < ... < m-1 (see :func:`fc_word`).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .errors import InvalidGenerator, LengthLimitExceeded, NotFcWord, RankMismatch
@@ -31,20 +31,19 @@ PATH = "type-a-path"
 DEFAULT_MAX_LEN = 64
 
 
-@dataclass(frozen=True)
-class CoxeterGraph:
-    kind: str
-    gens: int
+class CoxeterGraph(namedtuple("CoxeterGraph", "kind gens")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind == AFFINE:
-            if self.gens < 2:
+    def __new__(cls, kind: str, gens: int):
+        if kind == AFFINE:
+            if gens < 2:
                 raise RankMismatch("affine cycle needs at least 2 generators")
-        elif self.kind == PATH:
-            if self.gens < 0:
+        elif kind == PATH:
+            if gens < 0:
                 raise RankMismatch("negative generator count")
         else:
-            raise RankMismatch(f"unknown graph kind {self.kind!r}")
+            raise RankMismatch(f"unknown graph kind {kind!r}")
+        return super().__new__(cls, kind, gens)
 
     @property
     def is_affine(self) -> bool:

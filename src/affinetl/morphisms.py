@@ -15,7 +15,7 @@ the T-generator system T = v (e - 1), also over Z[v, 1/v].
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .algebra import DEFAULT_MAX_LEN, TLElement, e_multiply, e_to_element, e_word
@@ -24,21 +24,21 @@ from .errors import InvalidGenerator, ParseError, RankMismatch
 from .scalars import L_ONE, L_ZERO, qp1_laurent_pow
 
 
-@dataclass(frozen=True)
-class BraidWord:
+class BraidWord(namedtuple("BraidWord", "gens letters")):
     """A word in the affine braid group on ``gens`` generators: letters are
     (index, sign) pairs, sign +1 or -1."""
 
-    gens: int
-    letters: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.gens < 2:
+    def __new__(cls, gens: int, letters: tuple):
+        if gens < 2:
             raise RankMismatch("braid words need at least 2 generators")
-        for s, e in self.letters:
-            self.graph.check_letter(s)
+        g = affine(gens)
+        for s, e in letters:
+            g.check_letter(s)
             if e not in (-1, 1):
                 raise InvalidGenerator(f"braid exponent {e} must be +-1")
+        return super().__new__(cls, gens, letters)
 
     @property
     def graph(self) -> CoxeterGraph:

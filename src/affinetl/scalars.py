@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from contextvars import ContextVar
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DivisionByZero, InexactDivision, ParseError
@@ -195,6 +194,15 @@ def _prev(a):
     return _ptrim(reversed(a))
 
 
+def _istr(n: int) -> str:
+    """The digits of n >= 0, split by a power of 10 past the digit limit of ``str``."""
+    if n.bit_length() < 2000:  # at most 603 digits, below any limit str can have
+        return str(n)
+    k = n.bit_length() * 3 // 20  # about half of the digits
+    hi, lo = divmod(n, 10 ** k)
+    return _istr(hi) + _istr(lo).zfill(k)
+
+
 def _pfmt(a) -> str:
     if not a:
         return "0"
@@ -206,10 +214,10 @@ def _pfmt(a) -> str:
         sign = "-" if c < 0 else ("+" if parts else "")
         c = abs(c)
         if i == 0:
-            body = str(c)
+            body = _istr(c)
         else:
             var = "v" if i == 1 else f"v^{i}"
-            body = var if c == 1 else f"{c}*{var}"
+            body = var if c == 1 else f"{_istr(c)}*{var}"
         parts.append(sign + body)
     return "".join(parts)
 
@@ -264,19 +272,12 @@ class Scalar:
     def from_int(cls, n: int) -> "Scalar":
         return cls((n,)) if n else cls(())
 
-    @classmethod
-    def from_fraction(cls, x) -> "Scalar":
-        x = Fraction(x)
-        return cls((x.numerator,), (x.denominator,))
-
     @staticmethod
     def _coerce(x):
         if isinstance(x, Scalar):
             return x
         if isinstance(x, int):
             return Scalar.from_int(x)
-        if isinstance(x, Fraction):
-            return Scalar.from_fraction(x)
         return None
 
     # -- ring structure ------------------------------------------------------
@@ -377,12 +378,14 @@ class Scalar:
             den = _pshift(den, dn - dd)
         return Scalar(num, den)
 
-    def eval_at(self, v0) -> Fraction:
-        """Exact value at a rational point v = v0.
+    def eval_at(self, v0):
+        """Exact value at a rational point v = v0, as a Fraction.
 
         >>> DELTA.eval_at(1)
         Fraction(1, 4)
         """
+        from fractions import Fraction
+
         v0 = Fraction(v0)
         d = _peval(self.den, v0)
         if d == 0:

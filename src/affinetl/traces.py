@@ -13,15 +13,14 @@ assumed anywhere in the code.
 
 ``generic_trace2`` and ``generic_trace3`` evaluate the rotation-invariant
 linear functionals on the rank-2 and rank-3 affine algebras from their
-defining value tables.  The rank-3 table distinguishes the two rotation-orbit
-families of long basis words because the affine trace provably assigns them
-different values (see :func:`solve_alpha_beta`); leaving out the second
-family's sequence collapses both onto the first.
+defining value tables.  The rank-3 table carries one sequence per
+rotation-orbit family of long basis words, because the affine trace provably
+assigns the two families different values (see :func:`solve_alpha_beta`); a
+functional that does not tell them apart passes the same sequence twice.
 """
 from __future__ import annotations
 
-from collections.abc import Callable
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .algebra import DEFAULT_MAX_LEN, TLElement, e_multiply, e_to_element, e_word
@@ -128,13 +127,8 @@ def invariant(b: BraidWord) -> Scalar:
 # generic rotation-invariant traces at ranks 2 and 3
 
 
-@dataclass(frozen=True)
-class TraceParamsTL2:
-    """Values on 1, on a single generator, and on the alternating words."""
-
-    A0: Scalar
-    A1: Scalar
-    alpha: Callable[[int], Scalar]
+# values on 1, on a single generator, and alpha(k) on the alternating words of length 2k
+TraceParamsTL2 = namedtuple("TraceParamsTL2", "A0 A1 alpha")
 
 
 def generic_trace2(p: TraceParamsTL2, x: TLElement) -> Scalar:
@@ -155,20 +149,8 @@ def generic_trace2(p: TraceParamsTL2, x: TLElement) -> Scalar:
     return out
 
 
-@dataclass(frozen=True)
-class TraceParamsTL3:
-    """Values on the short words plus one parameter sequence per
-    rotation-orbit family of long words; ``beta_rev=None`` collapses the
-    second family onto the first."""
-
-    B0: Scalar
-    B1: Scalar
-    B2: Scalar
-    beta: Callable[[int], Scalar]
-    beta_rev: Callable[[int], Scalar] | None = None
-
-    def rev(self, k: int) -> Scalar:
-        return (self.beta_rev or self.beta)(k)
+# values on the words of length 0, 1 and 2, and a sequence in k per orbit family of long words
+TraceParamsTL3 = namedtuple("TraceParamsTL3", "B0 B1 B2 beta beta_rev")
 
 
 _FWD_BASE = (0, 1, 2)  # s1 s2 a
@@ -240,7 +222,7 @@ def generic_trace3(p: TraceParamsTL3, x: TLElement) -> Scalar:
             v = short[slot]
         else:
             family, k = slot
-            v = p.beta(k) if family == "fwd" else p.rev(k)
+            v = p.beta(k) if family == "fwd" else p.beta_rev(k)
         out = out + c * v
     return out
 

@@ -49,6 +49,14 @@ def test_invariant_jobs_flag(capsys, tmp_path):
     assert out.splitlines() == ["1", "-v^5-v", "-v^8+v^6+v^2"]
 
 
+def test_trace_prints_a_coefficient_of_any_size(capsys):
+    # (10^4000 - 1)^3 has 12,000 digits; str() refuses more than 4,300
+    code, out, _ = run(capsys, "trace", "--gens", "3", "--type", "affine",
+                       f"({'9' * 4000}^3)*[s1]")
+    assert code == 0
+    assert out.strip() == "9" * 3999 + "7" + "0" * 3999 + "2" + "9" * 4000
+
+
 def test_multiply_example(capsys):
     code, out, _ = run(
         capsys, "multiply", "--gens", "3", "[s2 s1 a][s2 s1 a]", "[s1 s2 a]"
@@ -316,16 +324,20 @@ def test_invariant_reads_no_stdin_after_an_empty_file(capsys, monkeypatch, tmp_p
 
 def test_import_loads_no_pool_or_typing():
     """A cold CLI process pays only for what its command runs: the process
-    pool is imported by ``invariant --jobs`` above 1 alone."""
+    pool is imported by ``invariant --jobs`` above 1 alone, and no record
+    class or scalar pulls in ``dataclasses``, ``inspect`` or ``fractions``."""
     import pathlib
     import subprocess
 
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    forbidden = ("concurrent", "multiprocessing", "typing", "dataclasses", "inspect",
+                 "fractions", "decimal")
     probe = (
         f"import sys; sys.path.insert(0, {str(src)!r}); import affinetl, affinetl.cli; "
+        "affinetl.cli.main(['invariant', '--gens', '3', 's1 a']); "
         "print(sorted(m for m in sys.modules "
-        "if m.partition('.')[0] in ('concurrent', 'multiprocessing', 'typing')))"
+        f"if m.partition('.')[0] in {forbidden!r}))"
     )
     out = subprocess.run([sys.executable, "-S", "-s", "-c", probe],
                          capture_output=True, text=True, check=True).stdout
-    assert out == "[]\n"
+    assert out.splitlines()[-1] == "[]"

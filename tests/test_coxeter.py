@@ -7,6 +7,7 @@ from affinetl import (
     InvalidGenerator,
     LengthLimitExceeded,
     NotFcWord,
+    RankMismatch,
     affine,
     enumerate_fc,
     fc_check,
@@ -205,8 +206,22 @@ def test_letter_text_forms():
 
 
 def test_graph_validation():
-    with pytest.raises(Exception):
+    for kind, gens in (("type-a-path", -1), ("weird", 3)):
+        with pytest.raises(RankMismatch):
+            CoxeterGraph(kind, gens)
+    with pytest.raises(RankMismatch):
         affine(1)
-    with pytest.raises(Exception):
-        CoxeterGraph("weird", 3)
     assert path(0).gens == 0
+
+
+def test_graph_is_an_immutable_value():
+    import pickle
+
+    g = affine(3)
+    assert g == CoxeterGraph("affine-cycle", 3) and hash(g) == hash(affine(3))
+    assert g != path(3) and g != affine(4)
+    with pytest.raises(AttributeError):
+        g.gens = 4
+    assert pickle.loads(pickle.dumps(g)) == g
+    assert repr(g) == "CoxeterGraph(kind='affine-cycle', gens=3)"
+    assert repr(path(0)) == "CoxeterGraph(kind='type-a-path', gens=0)"

@@ -156,6 +156,19 @@ def test_braid_parsing_and_inverse():
         BraidWord(1, ())
 
 
+def test_braid_word_is_an_immutable_value():
+    import pickle
+
+    b = parse_braid("s1 a^-1", 3)
+    assert b == BraidWord(3, ((0, 1), (2, -1))) and hash(b) == hash(parse_braid("s1 a'", 3))
+    assert b != BraidWord(4, b.letters) and b != b.inverse()
+    with pytest.raises(AttributeError):
+        b.letters = ()
+    # invariant --jobs sends braids to its workers
+    assert pickle.loads(pickle.dumps(b)) == b
+    assert repr(b) == "BraidWord(gens=3, letters=((0, 1), (2, -1)))"
+
+
 def test_braid_image_examples():
     g2 = affine(2)
     assert braid_image(parse_braid("s1", 2)) == gen("T", 0, g2)

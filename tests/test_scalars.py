@@ -150,6 +150,18 @@ def test_big_coefficient_fractions_parse_quickly():
         assert x.eval_at(v0) == sum(Fraction(1, (c + v0) ** 170) for c in (1, 2, 3))
 
 
+def test_format_prints_coefficients_of_any_size():
+    # str() refuses an int of more than 4,300 digits
+    digits = "1" + "0" * 4999 + "7"
+    assert format_scalar(Scalar((10 ** 5000 + 7,))) == digits
+    assert format_scalar(Scalar((-(10 ** 5000 + 7),))) == "-" + digits
+    assert format_scalar(Scalar((1, 10 ** 5000 + 7))) == digits + "*v+1"
+    n = 3 ** 20000
+    text = format_scalar(Scalar((n,)))
+    assert len(text) == 9543 and text[-40:] == str(n % 10 ** 40)
+    assert text[:40] == str(n // 10 ** (len(text) - 40))
+
+
 @given(scalars)
 @settings(max_examples=200, deadline=None)
 def test_format_parse_roundtrip(a):

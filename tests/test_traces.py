@@ -343,8 +343,9 @@ def test_generic_trace3_value_table():
     assert generic_trace3(p, mono(g3, (0, 1, 2, 0))) == DELTA  # fwd, k=1
     assert generic_trace3(p, mono(g3, (0, 1, 2, 0, 1))) == DELTA * DELTA
     assert generic_trace3(p, mono(g3, (1, 0, 2))) == Q  # rev, k=1
-    collapsed = TraceParamsTL3(p.B0, p.B1, p.B2, beta=lambda k: DELTA ** k)
-    assert generic_trace3(collapsed, mono(g3, (1, 0, 2))) == DELTA
+    # the table has no default: each family's sequence is passed
+    with pytest.raises(TypeError):
+        TraceParamsTL3(p.B0, p.B1, p.B2, beta=lambda k: DELTA ** k)
 
 
 def rho_params3(kmax: int) -> TraceParamsTL3:
