@@ -46,7 +46,6 @@ from .scalars import (
     _ScalarParser,
     delta_pow,
     qp1_laurent_pow,
-    qp1_pow,
 )
 
 
@@ -260,9 +259,9 @@ def e_scale(c: Laurent, loops: int, squares: int) -> Laurent:
     return c.shift(2 * loops) if loops else c
 
 
-def e_multiply(g: CoxeterGraph, x: dict, y: dict, max_len: int = DEFAULT_MAX_LEN) -> dict:
+def e_multiply(g: CoxeterGraph, x: dict, y: dict) -> dict:
     """Product of two e-elements over ``g``."""
-    return _product(g, x, y, e_scale, max_len)
+    return _product(g, x, y, e_scale, DEFAULT_MAX_LEN)
 
 
 def e_to_element(g: CoxeterGraph, x: dict) -> TLElement:
@@ -286,13 +285,13 @@ E_GENERATORS = {
 }
 
 
-def e_word(g: CoxeterGraph, system: str, letters, max_len: int = DEFAULT_MAX_LEN) -> dict:
+def e_word(g: CoxeterGraph, system: str, letters) -> dict:
     """The product of the ``system`` generators along the signed letters
     ``(s, +1 or -1)``, as an e-element: a left fold of :func:`e_multiply`."""
     out = {(): L_ONE}
     for s, sign in letters:
         es, one = E_GENERATORS[system, sign]
-        out = e_multiply(g, out, {(s,): es, (): one}, max_len)
+        out = e_multiply(g, out, {(s,): es, (): one})
     return out
 
 
@@ -322,7 +321,7 @@ def to_g_basis(x: TLElement) -> dict:
     out: dict = {}
     while rem:
         w, c = max(rem.items(), key=_term_key)
-        out[w] = lead = c / qp1_pow(len(w))
+        out[w] = lead = c * L_ONE.over_qp1_pow(len(w))
         for u, cu in from_g_word(x.graph, w).terms.items():
             c = rem.get(u, Scalar(())) - lead * cu
             if c.is_zero():

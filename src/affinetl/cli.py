@@ -1,7 +1,8 @@
 """
 Command-line surface: invariant, trace, multiply, reduce, enumerate-fc,
 verify.  Exit codes: 0 on success, 1 when a verification check fails, 2 on
-usage or parse errors.
+usage or parse errors, 3 on an internal fault (``InexactDivision`` or
+``NotClassifiable``, which must never happen).
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from .algebra import (
     reduce_letters,
 )
 from .coxeter import _cartier_foata_letters, affine, enumerate_fc, parse_word, path, word_text
-from .errors import ParseError
+from .errors import InexactDivision, NotClassifiable, ParseError
 from .morphisms import parse_braid
 from .scalars import delta_pow
 from .traces import invariant, jones_trace, rho
@@ -235,6 +236,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except (InexactDivision, NotClassifiable) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     except (ParseError, ValueError, ArithmeticError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

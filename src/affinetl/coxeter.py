@@ -31,8 +31,18 @@ PATH = "type-a-path"
 DEFAULT_MAX_LEN = 64
 
 
+def _refuse_sequence_op(self, other):
+    raise TypeError(f"a {type(self).__name__} is a record: it does not add or repeat")
+
+
 class CoxeterGraph(namedtuple("CoxeterGraph", "kind gens")):
+    """A graph kind and generator count.  A named tuple: equality and
+    hashing are the tuple's, done in C, which keeps the ``_tables(g)``
+    lookup of every word product fast (so a graph equals the plain tuple of
+    its fields); the tuple ``+`` and ``*`` raise ``TypeError``."""
+
     __slots__ = ()
+    __add__ = __radd__ = __mul__ = __rmul__ = _refuse_sequence_op
 
     def __new__(cls, kind: str, gens: int):
         if kind == AFFINE:

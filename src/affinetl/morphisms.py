@@ -18,17 +18,20 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 
-from .algebra import DEFAULT_MAX_LEN, TLElement, e_multiply, e_to_element, e_word
-from .coxeter import CoxeterGraph, affine, path
+from .algebra import TLElement, e_multiply, e_to_element, e_word
+from .coxeter import CoxeterGraph, _refuse_sequence_op, affine, path
 from .errors import InvalidGenerator, ParseError, RankMismatch
 from .scalars import L_ONE, L_ZERO, qp1_laurent_pow
 
 
 class BraidWord(namedtuple("BraidWord", "gens letters")):
     """A word in the affine braid group on ``gens`` generators: letters are
-    (index, sign) pairs, sign +1 or -1."""
+    (index, sign) pairs, sign +1 or -1.  A named tuple, with the tuple's
+    equality and hashing; ``*`` concatenates two braid words, and the tuple
+    ``+`` and ``*`` by anything else raise ``TypeError``."""
 
     __slots__ = ()
+    __add__ = __radd__ = __rmul__ = _refuse_sequence_op
 
     def __new__(cls, gens: int, letters: tuple):
         if gens < 2:
@@ -48,6 +51,8 @@ class BraidWord(namedtuple("BraidWord", "gens letters")):
         return BraidWord(self.gens, tuple((s, -e) for s, e in reversed(self.letters)))
 
     def __mul__(self, other: "BraidWord") -> "BraidWord":
+        if not isinstance(other, BraidWord):
+            _refuse_sequence_op(self, other)
         if self.gens != other.gens:
             raise RankMismatch("braid words over different groups")
         return BraidWord(self.gens, self.letters + other.letters)
@@ -78,9 +83,9 @@ def parse_braid(text: str, gens: int) -> BraidWord:
     return BraidWord(gens, tuple(letters))
 
 
-def braid_image(b: BraidWord, max_len: int = DEFAULT_MAX_LEN) -> TLElement:
+def braid_image(b: BraidWord) -> TLElement:
     """Image of a braid word in the affine algebra through T-generators."""
-    return e_to_element(b.graph, e_word(b.graph, "T", b.letters, max_len))
+    return e_to_element(b.graph, e_word(b.graph, "T", b.letters))
 
 
 def _conjugate_wrap(b: BraidWord, prefix: list, core: int) -> tuple:

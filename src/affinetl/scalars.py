@@ -18,7 +18,8 @@ two polynomials' values at a large enough integer, read back as a
 polynomial (:func:`_pgcd`).
 
 The subring Z[v, 1/v] of Laurent polynomials has its own gcd-free type,
-:class:`Laurent`, for the computations whose values never leave it.
+:class:`Laurent`, for the computations whose values never leave it.  Both
+types run on the one polynomial kernel: ``_padd``, ``_pmul`` and ``_pneg``.
 
 >>> print(DELTA * (ONE + Q) ** 2)
 v^2
@@ -44,15 +45,20 @@ _gcd_meter = ContextVar("_gcd_meter", default=None)
 
 
 def _ptrim(coeffs) -> tuple[int, ...]:
-    coeffs = list(coeffs)
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
+    coeffs = tuple(coeffs)
+    n = len(coeffs)
+    while n and not coeffs[n - 1]:
+        n -= 1
+    return coeffs[:n]
 
 
-def _padd(a, b):
-    n = max(len(a), len(b))
-    return _ptrim((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n))
+def _padd(a, b, off=0):
+    """a + v^off b, for off >= 0, trimmed at the top."""
+    out = list(a)
+    out.extend([0] * (off + len(b) - len(out)))
+    for i, d in enumerate(b, off):
+        out[i] += d
+    return _ptrim(out)
 
 
 def _pneg(a):
@@ -60,15 +66,21 @@ def _pneg(a):
 
 
 def _pmul(a, b):
-    if not a or not b:
+    """The product of two trimmed polynomials, trimmed as it is: Z is a
+    domain, so the product of two nonzero end terms is nonzero."""
+    if len(a) < len(b):
+        a, b = b, a
+    if not b:
         return ()
+    if len(b) == 1:
+        d = b[0]
+        return a if d == 1 else tuple(c * d for c in a)
     out = [0] * (len(a) + len(b) - 1)
-    for i, c in enumerate(a):
-        if c == 0:
-            continue
-        for j, d in enumerate(b):
-            out[i + j] += c * d
-    return _ptrim(out)
+    for j, d in enumerate(b):
+        if d:
+            for i, c in enumerate(a, j):
+                out[i] += c * d
+    return tuple(out)
 
 
 def _pprimitive(a):
@@ -165,15 +177,18 @@ def _pdiv_exact(a, b):
     return _ptrim(quo)
 
 
-def _normalize_content(num, den):
-    """Divide out the joint integer content and fix the denominator sign."""
+def _canonical_pair(num, den):
+    """The canonical form of num/den, two trimmed polynomials coprime over
+    Q(v): zero as ``((), (1,))``; otherwise the joint integer content
+    divided out and the leading coefficient of den made positive."""
+    if not num:
+        return (), (1,)
     c = math.gcd(*num, *den)
     if den[-1] < 0:
         c = -c
-    if c != 1:
-        num = tuple(x // c for x in num)
-        den = tuple(x // c for x in den)
-    return num, den
+    if c == 1:
+        return num, den
+    return tuple(x // c for x in num), tuple(x // c for x in den)
 
 
 def _peval(a, x):
@@ -182,16 +197,6 @@ def _peval(a, x):
     for c in reversed(a):
         acc = acc * x + c
     return acc
-
-
-def _pshift(a, k):
-    """Multiply by v^k (k >= 0)."""
-    return ((0,) * k + tuple(a)) if a else ()
-
-
-def _prev(a):
-    """v^deg(a) * a(1/v)."""
-    return _ptrim(reversed(a))
 
 
 def _istr(n: int) -> str:
@@ -236,34 +241,21 @@ class Scalar:
     True
     """
 
-    __slots__ = ("num", "den", "_hash")
+    __slots__ = ("num", "den")
 
     def __init__(self, num, den=(1,)):
         num, den = _ptrim(num), _ptrim(den)
         if not den:
             raise DivisionByZero("zero denominator")
-        if not num:
-            den = (1,)
-        else:
-            if len(den) > 1 and len(num) > 1:
-                _, num, den = _pgcd(num, den)
-            num, den = _normalize_content(num, den)
-        self.num = num
-        self.den = den
-        self._hash = None
+        if len(den) > 1 and len(num) > 1:
+            _, num, den = _pgcd(num, den)
+        self.num, self.den = _canonical_pair(num, den)
 
     @classmethod
     def _reduced(cls, num, den) -> "Scalar":
-        """Fast constructor for num/den already coprime over Q(v)."""
+        """Fast constructor for trimmed num/den already coprime over Q(v)."""
         self = object.__new__(cls)
-        num, den = _ptrim(num), _ptrim(den)
-        if not num:
-            den = (1,)
-        else:
-            num, den = _normalize_content(num, den)
-        self.num = num
-        self.den = den
-        self._hash = None
+        self.num, self.den = _canonical_pair(num, den)
         return self
 
     # -- constructors ------------------------------------------------------
@@ -370,13 +362,15 @@ class Scalar:
         >>> DELTA.bar() == DELTA
         True
         """
-        dn, dd = len(self.num) - 1, len(self.den) - 1
-        num, den = _prev(self.num), _prev(self.den)
-        if dd >= dn:
-            num = _pshift(num, dd - dn)
-        else:
-            den = _pshift(den, dn - dd)
-        return Scalar(num, den)
+        if not self.num:
+            return self
+        # the reversed pair, one side times v^k with k = deg den - deg num,
+        # needs no gcd: v -> 1/v keeps num and den coprime, both reversed
+        # polynomials have a nonzero constant term, and so the v^k shift
+        # adds no common factor
+        k = len(self.den) - len(self.num)
+        return Scalar._reduced((0,) * max(k, 0) + _ptrim(self.num[::-1]),
+                               (0,) * max(-k, 0) + _ptrim(self.den[::-1]))
 
     def eval_at(self, v0):
         """Exact value at a rational point v = v0, as a Fraction.
@@ -407,9 +401,7 @@ class Scalar:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.num, self.den))
-        return self._hash
+        return hash((self.num, self.den))
 
     def __bool__(self):
         return bool(self.num)
@@ -451,15 +443,12 @@ class Laurent:
     __slots__ = ("lo", "coeffs")
 
     def __init__(self, lo: int, coeffs):
-        coeffs = tuple(coeffs)
-        hi = len(coeffs)
-        while hi and not coeffs[hi - 1]:
-            hi -= 1
+        coeffs = _ptrim(coeffs)
         start = 0
-        while start < hi and not coeffs[start]:
+        while start < len(coeffs) and not coeffs[start]:
             start += 1
-        self.lo = lo + start if start < hi else 0
-        self.coeffs = coeffs[start:hi]
+        self.lo = lo + start if coeffs else 0
+        self.coeffs = coeffs[start:]
 
     @classmethod
     def _trimmed(cls, lo: int, coeffs: tuple) -> "Laurent":
@@ -475,35 +464,19 @@ class Laurent:
         if not self.coeffs:
             return other
         a, b = (self, other) if self.lo <= other.lo else (other, self)
-        out = list(a.coeffs)
-        off = b.lo - a.lo
-        out.extend([0] * (off + len(b.coeffs) - len(out)))
-        for i, d in enumerate(b.coeffs, off):
-            out[i] += d
-        return Laurent(a.lo, out)
+        p = _padd(a.coeffs, b.coeffs, b.lo - a.lo)
+        # the low end can cancel only when both operands start at one power
+        return Laurent(a.lo, p) if a.lo == b.lo else Laurent._trimmed(a.lo, p)
 
     def __neg__(self):
-        return Laurent._trimmed(self.lo, tuple(-c for c in self.coeffs))
+        return Laurent._trimmed(self.lo, _pneg(self.coeffs))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return L_ZERO
-        if len(a) < len(b):
-            a, b = b, a
-        if len(b) == 1:
-            d = b[0]
-            return Laurent._trimmed(self.lo + other.lo, a if d == 1 else tuple(c * d for c in a))
-        out = [0] * (len(a) + len(b) - 1)
-        for j, d in enumerate(b):
-            if d:
-                for i, c in enumerate(a, j):
-                    out[i] += c * d
-        # Z is a domain: the product of the two nonzero end terms is nonzero
-        return Laurent._trimmed(self.lo + other.lo, tuple(out))
+        p = _pmul(self.coeffs, other.coeffs)
+        return Laurent._trimmed(self.lo + other.lo, p) if p else L_ZERO
 
     def shift(self, k: int) -> "Laurent":
         """The product with v^k."""
@@ -560,11 +533,6 @@ def qp1_laurent_pow(k: int) -> Laurent:
 @lru_cache(maxsize=None)
 def delta_pow(k: int) -> Scalar:
     return DELTA ** k
-
-
-@lru_cache(maxsize=None)
-def qp1_pow(k: int) -> Scalar:
-    return (ONE + Q) ** k
 
 
 # ---------------------------------------------------------------------------

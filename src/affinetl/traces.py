@@ -27,7 +27,7 @@ from .algebra import DEFAULT_MAX_LEN, TLElement, e_multiply, e_to_element, e_wor
 from .coxeter import CoxeterGraph, affine, fc_word, path, rotate, word_text
 from .errors import LengthLimitExceeded, NotClassifiable, RankMismatch, SingularSystem
 from .morphisms import BraidWord, _f_image, braid_collapse
-from .scalars import DELTA, L_ONE, L_ZERO, ONE, Laurent, Scalar, qp1_laurent_pow, qp1_pow
+from .scalars import DELTA, L_ONE, L_ZERO, ONE, Laurent, Scalar, qp1_laurent_pow
 
 # trace value gained by a strand the word never touches: -(1+q)/sqrt(q)
 FREE_STRAND_FACTOR = Laurent(-1, (-1, 0, -1)).to_scalar()
@@ -261,7 +261,7 @@ def build_xz(i: int) -> tuple[TLElement, TLElement]:
         raise ValueError(f"x_i and z_i need i >= 1, not {i}")
     if 3 * i + 2 > DEFAULT_MAX_LEN:
         raise LengthLimitExceeded(f"index {i} needs words longer than the cap {DEFAULT_MAX_LEN}")
-    return tuple(e_to_element(affine(3), e).scale(qp1_pow(2 * i).inv()) for e in _xz_e(i))
+    return tuple(e_to_element(affine(3), e).scale(L_ONE.over_qp1_pow(2 * i)) for e in _xz_e(i))
 
 
 def _check_kmax(kmax: int) -> None:

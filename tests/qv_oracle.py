@@ -16,7 +16,6 @@ product in the g-basis one rank down.
 from functools import lru_cache
 
 from affinetl import (
-    DEFAULT_MAX_LEN,
     ONE,
     Q,
     V,
@@ -28,7 +27,7 @@ from affinetl import (
 )
 from affinetl.algebra import reduce_letters
 from affinetl.coxeter import _cartier_foata_letters
-from affinetl.scalars import delta_pow, qp1_pow
+from affinetl.scalars import delta_pow
 
 FREE_STRAND = -(ONE + Q) / V
 SPLIT = -V / (ONE + Q)
@@ -62,7 +61,7 @@ def to_g_basis(x: TLElement) -> dict:
     out: dict = {}
     while rem:
         w = max(rem, key=lambda u: (len(u), u))
-        lead = rem[w] / qp1_pow(len(w))
+        lead = rem[w] / (ONE + Q) ** len(w)
         out[w] = lead
         for u, cu in g_word_element(x.graph, w).terms.items():
             c = rem.get(u, Scalar(())) - lead * cu
@@ -106,11 +105,11 @@ def apply_map(kind: str, x: TLElement) -> TLElement:
     return out
 
 
-def braid_image(b, max_len: int = DEFAULT_MAX_LEN) -> TLElement:
+def braid_image(b) -> TLElement:
     g = b.graph
     out = TLElement.one(g)
     for s, e in b.letters:
-        out = multiply(out, gen("T" if e == 1 else "T_inv", s, g), max_len=max_len)
+        out = multiply(out, gen("T" if e == 1 else "T_inv", s, g))
     return out
 
 

@@ -1,9 +1,12 @@
+import contextlib
 import io
 import json
 import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affinetl import affine, parse_element, parse_scalar
 from affinetl.cli import main
@@ -125,6 +128,51 @@ def test_parse_errors_exit_2(capsys):
     assert code == 2
     code, _, err = run(capsys, "reduce", "--gens", "2", "bogus")
     assert code == 2
+
+
+def test_internal_fault_exits_3(capsys, monkeypatch):
+    # InexactDivision and NotClassifiable mean a bug, not bad input
+    from affinetl import cli
+    from affinetl.errors import InexactDivision
+
+    def fault(b):
+        raise InexactDivision("inexact polynomial division")
+
+    monkeypatch.setattr(cli, "invariant", fault)
+    code, out, err = run(capsys, "invariant", "--gens", "3", "s1")
+    assert (code, out, err) == (3, "", "internal error: inexact polynomial division\n")
+
+    def bad_input(b):
+        raise ValueError("bad input")
+
+    monkeypatch.setattr(cli, "invariant", bad_input)
+    assert run(capsys, "invariant", "--gens", "3", "s1")[0] == 2
+
+
+# tokens of braid and basis words and of elements, and junk to mix in
+FUZZ_WORD = ("s1", "s2", "s3", "a", "s1^-1", "a'", "s2'")
+FUZZ_ELEMENT = ("+ (1+q)*[s1 a]", "- [s2 s1]", "+ 1/(1+v)*[]", "- v*[s3]", "+ [s1][s2 a]")
+FUZZ_JUNK = ("s9", "^-1", "'", "[", "]", "*", "^", "2", "/", "(", ")", "x", "(1+q)", "1/(1+v)",
+             "+", "-")
+FUZZ_COMMANDS = ((("invariant",), FUZZ_WORD), (("reduce",), FUZZ_WORD),
+                 (("trace", "--type", "affine"), FUZZ_ELEMENT),
+                 (("trace", "--type", "classical"), FUZZ_ELEMENT),
+                 (("multiply", "--basis", "f"), FUZZ_ELEMENT),
+                 (("multiply", "--basis", "g"), FUZZ_ELEMENT))
+
+
+@given(st.data())
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+def test_fuzzed_input_exits_0_or_2(data):
+    command, grammar = data.draw(st.sampled_from(FUZZ_COMMANDS))
+    gens = data.draw(st.integers(2, 4))
+    tokens = data.draw(st.lists(st.sampled_from(grammar), max_size=6))
+    for junk in data.draw(st.lists(st.sampled_from(FUZZ_JUNK), max_size=2)):
+        tokens.insert(data.draw(st.integers(0, len(tokens))), junk)
+    # the text follows "--", so a leading "-" is not read as an option
+    argv = [*command, "--gens", str(gens), "--", " ".join(tokens)]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) in (0, 2), argv
 
 
 def test_unreadable_file_exits_2(capsys, tmp_path):

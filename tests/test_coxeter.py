@@ -225,3 +225,14 @@ def test_graph_is_an_immutable_value():
     assert pickle.loads(pickle.dumps(g)) == g
     assert repr(g) == "CoxeterGraph(kind='affine-cycle', gens=3)"
     assert repr(path(0)) == "CoxeterGraph(kind='type-a-path', gens=0)"
+
+
+def test_graph_refuses_tuple_arithmetic():
+    # a named tuple would concatenate or repeat its fields into a plain tuple
+    g = affine(3)
+    for op in (lambda: g + g, lambda: g + (1,), lambda: (1,) + g, lambda: g * 2,
+               lambda: 2 * g, lambda: g * g):
+        with pytest.raises(TypeError):
+            op()
+    # tuple equality and hashing stay: the _tables cache keys on them
+    assert g == ("affine-cycle", 3) and hash(g) == hash(("affine-cycle", 3))

@@ -1,12 +1,15 @@
 """No module of the package imports a name that it never uses, and no
-private module-level function is left without a caller.
+module-level function or class, and no private method, is left without a
+caller.
 
 Checked with the stdlib ``ast`` only: a name bound by an import counts as
 used when it occurs as a name anywhere else in the module (an attribute
 chain ``a.b`` uses ``a``).  ``__init__.py`` re-exports what it imports, so
 it is left out, and so are ``from __future__`` imports.  A module-level
-``def _name`` counts as used when some module of the package names it (as
-a name, an attribute or an imported name) outside its own definition.
+``def`` or ``class``, or a method ``def _name`` of a module-level class,
+counts as used when some module of the package names it (as a name, an
+attribute or an imported name, so a re-export from ``__init__.py`` counts)
+outside its own definition.
 """
 import ast
 import pathlib
@@ -42,29 +45,41 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-def unused_private_functions(sources: dict[str, str]) -> list[str]:
-    """The module-level ``def _name`` of ``sources`` (module name -> text)
-    that no module references outside the definition itself."""
-    defined, refs = [], {}  # name -> {(module, enclosing top-level def)}
+def _references(node, module: str, chain: frozenset, refs: dict):
+    """Add every name under ``node`` to ``refs`` (name -> {(module, names
+    of the definitions that enclose it)})."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            _references(child, module, chain | {child.name}, refs)
+            continue
+        if isinstance(child, ast.Name):
+            refs.setdefault(child.id, set()).add((module, chain))
+        elif isinstance(child, ast.Attribute):
+            refs.setdefault(child.attr, set()).add((module, chain))
+        elif isinstance(child, ast.alias):
+            refs.setdefault(child.name, set()).add((module, chain))
+        _references(child, module, chain, refs)
+
+
+def unused_definitions(sources: dict[str, str]) -> list[str]:
+    """The module-level ``def`` and ``class`` and the private methods of
+    module-level classes in ``sources`` (module name -> text) that no module
+    references outside the definition itself."""
+    defined, refs = [], {}
     for module, source in sources.items():
-        for stmt in ast.parse(source).body:
-            owner = None
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                owner = stmt.name
-                if owner.startswith("_") and not owner.startswith("__"):
-                    defined.append((module, owner))
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Name):
-                    name = node.id
-                elif isinstance(node, ast.Attribute):
-                    name = node.attr
-                elif isinstance(node, ast.alias):
-                    name = node.name
-                else:
-                    continue
-                refs.setdefault(name, set()).add((module, owner))
-    return [f"{module}.{name}" for module, name in defined
-            if not refs.get(name, set()) - {(module, name)}]
+        tree = ast.parse(source)
+        _references(tree, module, frozenset(), refs)
+        for stmt in tree.body:
+            if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if not stmt.name.startswith("__"):
+                defined.append((module, stmt.name, stmt.name))
+            if isinstance(stmt, ast.ClassDef):
+                defined.extend((module, f"{stmt.name}.{node.name}", node.name) for node in stmt.body
+                               if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+                               and not node.name.startswith("__"))
+    return [f"{module}.{label}" for module, label, name in defined
+            if all(m == module and name in chain for m, chain in refs.get(name, ()))]
 
 
 def test_checker_reports_orphaned_private_functions():
@@ -74,9 +89,23 @@ def test_checker_reports_orphaned_private_functions():
         "b": "from .a import _imported\nimport a\nprint(a._attr)\n",
         "c": "def _imported():\n    pass\n\ndef _attr():\n    pass\n\ndef __getattr__(n):\n    pass\n",
     }
-    assert unused_private_functions(sources) == ["a._recursive", "a._unused"]
+    assert unused_definitions(sources) == ["a._recursive", "a._unused"]
+
+
+def test_checker_reports_orphaned_classes_functions_and_private_methods():
+    sources = {
+        "__init__": "from .a import Exported\n",
+        "a": "class Exported:\n    pass\n\nclass Unused:\n    def make(self):\n"
+             "        return Unused()\n\ndef public():\n    pass\n\nclass Used:\n"
+             "    def run(self):\n        return self._helper() + public()\n"
+             "    def _helper(self):\n        return 1\n    def _unused(self):\n        return 2\n"
+             "    def _recursive(self):\n        return self._recursive()\n"
+             "    def __repr__(self):\n        return ''\n",
+        "b": "from .a import Used\nUsed().run()\n",
+    }
+    assert unused_definitions(sources) == ["a.Unused", "a.Used._unused", "a.Used._recursive"]
 
 
 def test_no_orphaned_private_functions():
     sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
-    assert unused_private_functions(sources) == []
+    assert unused_definitions(sources) == []

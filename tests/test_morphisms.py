@@ -1,6 +1,7 @@
 import pytest
 
 from affinetl import (
+    DEFAULT_MAX_LEN,
     ONE,
     Q,
     BraidWord,
@@ -169,6 +170,17 @@ def test_braid_word_is_an_immutable_value():
     assert repr(b) == "BraidWord(gens=3, letters=((0, 1), (2, -1)))"
 
 
+def test_braid_word_refuses_tuple_arithmetic():
+    b, c = parse_braid("s1", 2), parse_braid("a^-1", 2)
+    assert b * c == parse_braid("s1 a^-1", 2)
+    for op in (lambda: b + c, lambda: b + (1,), lambda: (1,) + b, lambda: b * 2,
+               lambda: 2 * b, lambda: b * affine(2), lambda: b * b.letters):
+        with pytest.raises(TypeError):
+            op()
+    with pytest.raises(RankMismatch):
+        b * parse_braid("s1", 3)
+
+
 def test_braid_image_examples():
     g2 = affine(2)
     assert braid_image(parse_braid("s1", 2)) == gen("T", 0, g2)
@@ -231,21 +243,22 @@ def test_maps_match_qv_oracle(m, rng):
 
 
 def test_braid_image_length_cap_matches_qv_oracle(rng):
-    # the cap is checked per appended letter on both routes, so it fires on
-    # exactly the same braids
+    # the fixed cap is checked per appended letter on both routes: a braid
+    # that cycles through the generators has a top word as long as itself,
+    # so one letter past the cap fires on both, and a braid at the cap not
     import qv_oracle
 
-    fired = 0
-    for m in (2, 3, 4):
-        for _ in range(15):
-            b = random_braid(m, rng, 10)
-            for cap in (3, 5):
-                try:
-                    want = qv_oracle.braid_image(b, max_len=cap)
-                except LengthLimitExceeded:
-                    with pytest.raises(LengthLimitExceeded):
-                        braid_image(b, max_len=cap)
-                    fired += 1
-                else:
-                    assert_element_equal(braid_image(b, max_len=cap), want)
-    assert fired > 0
+    for m in (2, 3):
+        for n in (DEFAULT_MAX_LEN, DEFAULT_MAX_LEN + 1):
+            b = BraidWord(m, tuple((i % m, rng.choice((1, -1))) for i in range(n)))
+            if n > DEFAULT_MAX_LEN:
+                with pytest.raises(LengthLimitExceeded):
+                    qv_oracle.braid_image(b)
+                with pytest.raises(LengthLimitExceeded):
+                    braid_image(b)
+            else:
+                want = qv_oracle.braid_image(b)
+                assert max(map(len, want.terms)) == DEFAULT_MAX_LEN
+                # canonical forms compare exactly; the numeric re-check of
+                # assert_element_equal would double the time of this test
+                assert braid_image(b) == want

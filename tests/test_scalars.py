@@ -385,6 +385,42 @@ def test_laurent_agrees_with_scalar_arithmetic():
     assert Laurent(-2, (0, 3, 0)).lo == -1
 
 
+def _random_scalar(rng):
+    """num/den through the gcd constructor, with a common factor, zero low
+    terms and a negative leading denominator coefficient among them."""
+    num = [rng.randint(-4, 4) for _ in range(rng.randrange(6))]
+    den = [0] * rng.randrange(3) + [rng.randint(-4, 4) for _ in range(rng.randrange(4))]
+    den.append(rng.choice((-3, -1, 1, 2)))
+    common = tuple(rng.randint(-2, 2) for _ in range(rng.randrange(3))) + (1,)
+    return Scalar(_pmul(tuple(num), common), _pmul(tuple(den), common))
+
+
+def test_both_rings_share_one_kernel():
+    rng = random.Random(20261020)
+    for _ in range(300):
+        # Laurent sums and products are those of Q(v)
+        a, b = _random_laurent(rng), _random_laurent(rng)
+        for got, want in ((a + b, a.to_scalar() + b.to_scalar()),
+                          (a - b, a.to_scalar() - b.to_scalar()),
+                          (a * b, a.to_scalar() * b.to_scalar())):
+            assert (got.to_scalar().num, got.to_scalar().den) == (want.num, want.den)
+        # the gcd-free bar is the gcd constructor on the reversed pair, and
+        # an involution
+        x, y = _random_scalar(rng), _random_scalar(rng)
+        dn, dd = len(x.num) - 1, len(x.den) - 1
+        shift = (0,) * abs(dd - dn)
+        rev_num, rev_den = tuple(reversed(x.num)), tuple(reversed(x.den))
+        want = Scalar(shift + rev_num if dd >= dn else rev_num,
+                      rev_den if dd >= dn else shift + rev_den)
+        assert (x.bar().num, x.bar().den) == (want.num, want.den)
+        assert (x.bar().bar().num, x.bar().bar().den) == (x.num, x.den)
+        # hashing agrees with equality
+        for u, w in ((x, y), (x, x.bar().bar()), (x + y, y + x), (x * y - y * x, ZERO)):
+            assert (u == w) == ((u.num, u.den) == (w.num, w.den))
+            if u == w:
+                assert hash(u) == hash(w)
+
+
 def test_laurent_to_scalar_is_canonical_without_gcd(monkeypatch):
     from affinetl import scalars
 
