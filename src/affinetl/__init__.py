@@ -38,7 +38,6 @@ from .errors import (
     InexactDivision,
     InvalidGenerator,
     LengthLimitExceeded,
-    NotClassifiable,
     NotFcWord,
     ParseError,
     RankMismatch,

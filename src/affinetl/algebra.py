@@ -64,7 +64,7 @@ def _reduce(tables, word: list) -> int:
     choice, since the rewriting is confluent.  Trusts the letters."""
     loops = 0
     while (hit := _rightmost_redex(*tables, word)) is not None:
-        _, j, t = hit
+        j, t = hit
         del word[j]
         if t is not None:
             del word[t]
@@ -74,13 +74,13 @@ def _reduce(tables, word: list) -> int:
 
 def reduce_letters(g: CoxeterGraph, letters, max_len: int = DEFAULT_MAX_LEN):
     """Rewrite a raw word to its normal form, checking its letters: returns
-    ``(k, word)`` with the input monomial equal to DELTA^k times the
-    monomial of the reduced word."""
+    ``(k, word)``, the Cartier-Foata letters ``word`` of a basis word of ``g``
+    with the input monomial equal to DELTA^k times its monomial."""
     _check_len(len(letters), max_len)
     for s in letters:
         g.check_letter(s)
     word = list(letters)
-    return _reduce(_tables(g), word), tuple(word)
+    return _reduce(_tables(g), word), _cartier_foata_letters(g, word)
 
 
 def word_product(g: CoxeterGraph, left: tuple, right: tuple, max_len: int = DEFAULT_MAX_LEN):
@@ -398,7 +398,7 @@ def _split_top_level_terms(text: str):
 
 
 def parse_element(text: str, graph: CoxeterGraph) -> TLElement:
-    """Parse the element grammar in the f-basis.
+    """Parse the element grammar in the f-basis, where the text ``0`` is zero.
 
     >>> from .coxeter import affine
     >>> x = parse_element("(-1/q)*[s1 a s2] + (1/(1+q))*[s1 s2]", affine(3))
@@ -407,6 +407,8 @@ def parse_element(text: str, graph: CoxeterGraph) -> TLElement:
     """
     if not text.strip():
         raise ParseError("empty element text")
+    if text.strip() == "0":
+        return TLElement.zero(graph)
     scalars, terms = _ScalarParser(), {}
     for sign, term in _split_top_level_terms(text):
         term = term.strip()

@@ -1,8 +1,8 @@
 """
 Command-line surface: invariant, trace, multiply, reduce, enumerate-fc,
 verify.  Exit codes: 0 on success, 1 when a verification check fails, 2 on
-usage or parse errors, 3 on an internal fault (``InexactDivision`` or
-``NotClassifiable``, which must never happen).
+usage or parse errors, 3 on an internal fault (``InexactDivision``, which
+must never happen).
 """
 from __future__ import annotations
 
@@ -21,8 +21,8 @@ from .algebra import (
     parse_element,
     reduce_letters,
 )
-from .coxeter import _cartier_foata_letters, affine, enumerate_fc, parse_word, path, word_text
-from .errors import InexactDivision, NotClassifiable, ParseError
+from .coxeter import affine, enumerate_fc, parse_word, path, word_text
+from .errors import InexactDivision, ParseError
 from .morphisms import parse_braid
 from .scalars import delta_pow
 from .traces import invariant, jones_trace, rho
@@ -125,8 +125,7 @@ def cmd_multiply(args) -> int:
 def cmd_reduce(args) -> int:
     g = _graph(args)
     letters = parse_word(g, _capped(args.word))
-    loops, word = reduce_letters(g, letters, max_len=args.max_len)
-    w = _cartier_foata_letters(g, word)
+    loops, w = reduce_letters(g, letters, max_len=args.max_len)
     scalar, body = delta_pow(loops), word_text(g, w)
     text = body if scalar.is_one() else f"{scalar} * {body}"
     _emit(
@@ -236,7 +235,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (InexactDivision, NotClassifiable) as exc:
+    except InexactDivision as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
     except (ParseError, ValueError, ArithmeticError, RuntimeError, OSError) as exc:

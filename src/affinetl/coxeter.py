@@ -126,7 +126,7 @@ def _tables(g: CoxeterGraph):
 
 
 def _rightmost_redex(comm, adj, word):
-    """The redex ``(i, j, t)`` of ``word`` with the largest j, or None.
+    """The redex ``(j, t)`` of ``word`` with the largest j, or None.
 
     A redex is a pair of equal letters at i < j, with none of that letter
     between, such that every letter between commutes with it (a square,
@@ -141,7 +141,7 @@ def _rightmost_redex(comm, adj, word):
         for p in range(j - 1, -1, -1):
             u = word[p]
             if u == s:
-                return p, j, t
+                return j, t
             if not cs[u]:
                 if t is not None or not adj_s[u]:
                     break

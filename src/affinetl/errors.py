@@ -38,10 +38,5 @@ class RankMismatch(ValueError):
     kind/size for the operation."""
 
 
-class NotClassifiable(RuntimeError):
-    """A rank-3 affine basis word matched neither rotation-orbit family.
-    This must never happen; seeing it falsifies the orbit classification."""
-
-
 class SingularSystem(ArithmeticError):
     """A linear slot equation has a vanishing leading coefficient."""

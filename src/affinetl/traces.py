@@ -24,8 +24,8 @@ from collections import namedtuple
 from functools import lru_cache
 
 from .algebra import DEFAULT_MAX_LEN, TLElement, e_multiply, e_to_element, e_word
-from .coxeter import CoxeterGraph, affine, fc_word, path, rotate, word_text
-from .errors import LengthLimitExceeded, NotClassifiable, RankMismatch, SingularSystem
+from .coxeter import CoxeterGraph, affine, fc_word, path
+from .errors import LengthLimitExceeded, NotFcWord, RankMismatch, SingularSystem
 from .morphisms import BraidWord, _f_image, braid_collapse
 from .scalars import DELTA, L_ONE, L_ZERO, ONE, Laurent, Scalar, qp1_laurent_pow
 
@@ -79,13 +79,15 @@ def _trace_f_word(n: int, letters: tuple[int, ...]) -> Laurent:
     return -out if n % 2 else out
 
 
+def _e_trace(n: int, x: dict) -> Laurent:
+    """The Jones trace of an e-element over path(n), in Z[v, 1/v]."""
+    return sum((c * _trace_f_word(n, w) for w, c in x.items()), L_ZERO)
+
+
 @lru_cache(maxsize=None)
 def _rho_word(m: int, letters: tuple[int, ...]) -> Laurent:
     """rho of the integral monomial e_w: the trace of its E image."""
-    out = L_ZERO
-    for u, d in _f_image("E", m, letters).items():
-        out = out + d * _trace_f_word(m - 1, u)
-    return out
+    return _e_trace(m - 1, _f_image("E", m, letters))
 
 
 def rho(x: TLElement) -> Scalar:
@@ -117,10 +119,7 @@ def invariant(b: BraidWord) -> Scalar:
     -v^8+v^6+v^2
     """
     n = b.gens - 1
-    out = L_ZERO
-    for w, c in e_word(path(n), "T", braid_collapse(b)).items():
-        out = out + c * _trace_f_word(n, w)
-    return out.to_scalar()
+    return _e_trace(n, e_word(path(n), "T", braid_collapse(b))).to_scalar()
 
 
 # ---------------------------------------------------------------------------
@@ -155,39 +154,26 @@ TraceParamsTL3 = namedtuple("TraceParamsTL3", "B0 B1 B2 beta beta_rev")
 
 _FWD_BASE = (0, 1, 2)  # s1 s2 a
 _REV_BASE = (1, 0, 2)  # s2 s1 a
-_FWD_PREFIX = ((), (0,), (0, 1))
-_REV_PREFIX = ((), (1,), (1, 0))
-
-
-@lru_cache(maxsize=None)
-def _orbit_index(length: int) -> dict:
-    """Canonical letters -> (family, k, rem) for rank-3 words of one length.
-
-    Every basis word of length 3k+rem (k >= 1) is a rotation of the length-
-    matching power-plus-prefix word of exactly one of the two families.
-    """
-    g = affine(3)
-    k, rem = divmod(length, 3)
-    table: dict = {}
-    for family, base, prefixes in (
-        ("fwd", _FWD_BASE, _FWD_PREFIX),
-        ("rev", _REV_BASE, _REV_PREFIX),
-    ):
-        raw = base * k + prefixes[rem]
-        for d in range(3):
-            table[rotate(g, raw, d)] = (family, k, rem)
-    return table
 
 
 def classify_orbit3(g: CoxeterGraph, w: tuple) -> tuple[str, int, int]:
     """Which rotation-orbit family a rank-3 basis word of length >= 3 is in,
-    together with (k, rem) where the length is 3k + rem."""
+    together with (k, rem) where the length is 3k + rem.
+
+    No two letters of affine(3) commute, so a basis word (its own
+    Cartier-Foata form) has no ``s s`` and no ``s t s``: any three letters in
+    a row are a, a+d, a+2d in Z/3, and two such windows share their step d.
+    So the word steps by one d throughout: +1 for powers of s1 s2 a ("fwd"),
+    -1 for those of s2 s1 a ("rev"); any other word is not a basis word.
+
+    >>> classify_orbit3(affine(3), (2, 1, 0, 2, 1))
+    ('rev', 1, 2)
+    """
     if g != affine(3) or len(w) < 3:
         raise RankMismatch("classification needs a rank-3 word of length >= 3")
-    hit = _orbit_index(len(w)).get(w)
-    if hit is None:
-        raise NotClassifiable(f"word {word_text(g, w)} fits neither rotation-orbit family")
-    return hit
+    if set(w[:3]) != {0, 1, 2} or w[3:] != w[:-3]:
+        raise NotFcWord(f"word {w} is not a basis word of {g}")
+    return ("fwd" if (w[1] - w[0]) % 3 == 1 else "rev", *divmod(len(w), 3))
 
 
 # a long word of length 3k + r takes its slot's value times remainder[r]: DELTA at r = 2

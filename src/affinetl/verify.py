@@ -149,10 +149,10 @@ def _reduce_random(g: CoxeterGraph, letters, rng: random.Random):
         found, end = [], len(word)
         while (hit := _rightmost_redex(comm, adj, word[:end])) is not None:
             found.append(hit)
-            end = hit[1]
+            end = hit[0]
         if not found:
-            return loops, tuple(word)
-        _, j, t = found[-1 - rng.randrange(len(found))]
+            return loops, _cartier_foata_letters(g, word)
+        j, t = found[-1 - rng.randrange(len(found))]
         del word[j]
         if t is not None:
             del word[t]
@@ -174,7 +174,7 @@ def confluent(x: TLElement, y: TLElement, rng: random.Random) -> bool:
                 folds += k
             for k, w in ((folds, folded), reduce_letters(g, left + right),
                          _reduce_random(g, left + right, rng)):
-                ok &= (k, _cartier_foata_letters(g, w)) == (loops, word)
+                ok &= (k, w) == (loops, word)
     return ok
 
 

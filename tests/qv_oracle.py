@@ -26,7 +26,6 @@ from affinetl import (
     path,
 )
 from affinetl.algebra import reduce_letters
-from affinetl.coxeter import _cartier_foata_letters
 from affinetl.scalars import delta_pow
 
 FREE_STRAND = -(ONE + Q) / V
@@ -123,7 +122,7 @@ def trace_f_word(n: int, letters: tuple) -> Scalar:
     i = at[0]
     g = path(n - 1)
     loops, word = reduce_letters(g, letters[:i] + letters[i + 1:])
-    return SPLIT * delta_pow(loops) * trace_f_word(n - 1, _cartier_foata_letters(g, word))
+    return SPLIT * delta_pow(loops) * trace_f_word(n - 1, word)
 
 
 def jones_trace(x: TLElement) -> Scalar:

@@ -69,6 +69,14 @@ def test_constructor_checks_its_keys():
     assert TLElement(p3, {(0, 2): ONE}) == TLElement.monomial(p3, (2, 0))
 
 
+def test_reduce_letters_returns_a_basis_word():
+    p3 = path(3)
+    assert reduce_letters(p3, (2, 0)) == (0, (0, 2))
+    assert reduce_letters(p3, (2, 1, 0, 2)) == (1, (0, 2))
+    _, word = reduce_letters(p3, (2, 0))
+    assert TLElement(p3, {word: ONE}) == TLElement.monomial(p3, (2, 0))
+
+
 def test_coeff_checks_its_letters():
     x = mono(path(3), (0, 1))
     with pytest.raises(InvalidGenerator):
@@ -273,6 +281,7 @@ def test_parse_format_roundtrip(rng):
         assert element_from_json(element_to_json(y), g3) == y
     zero = TLElement.zero(g3)
     assert format_element(zero) == "0"
+    assert parse_element(format_element(zero), g3) == zero == parse_element(" 0\n", g3)
 
 
 def test_parse_corner_cases():

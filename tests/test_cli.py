@@ -121,6 +121,13 @@ def test_trace_command(capsys):
     assert code == 0
 
 
+def test_printed_zero_reads_back(capsys):
+    # multiply prints the zero element as 0, and multiply and trace read it back
+    assert run(capsys, "multiply", "--gens", "3", "[s1] - [s1]") == (0, "0\n", "")
+    assert run(capsys, "multiply", "--gens", "3", "0", "[s1]") == (0, "0\n", "")
+    assert run(capsys, "trace", "--gens", "3", " 0 ") == (0, "0\n", "")
+
+
 def test_parse_errors_exit_2(capsys):
     code, _, err = run(capsys, "invariant", "--gens", "2", "s9")
     assert code == 2 and "error" in err
@@ -131,7 +138,7 @@ def test_parse_errors_exit_2(capsys):
 
 
 def test_internal_fault_exits_3(capsys, monkeypatch):
-    # InexactDivision and NotClassifiable mean a bug, not bad input
+    # InexactDivision means a bug, not bad input
     from affinetl import cli
     from affinetl.errors import InexactDivision
 

@@ -1,6 +1,6 @@
 """No module of the package imports a name that it never uses, and no
-module-level function or class, and no private method, is left without a
-caller.
+module-level function, class or assigned name, and no private method, is
+left without a caller or reader.
 
 Checked with the stdlib ``ast`` only: a name bound by an import counts as
 used when it occurs as a name anywhere else in the module (an attribute
@@ -9,7 +9,10 @@ it is left out, and so are ``from __future__`` imports.  A module-level
 ``def`` or ``class``, or a method ``def _name`` of a module-level class,
 counts as used when some module of the package names it (as a name, an
 attribute or an imported name, so a re-export from ``__init__.py`` counts)
-outside its own definition.
+outside its own definition.  A module-level name bound by assignment
+(``X = ...``, ``X: T = ...``, or inside a tuple target) counts as used when
+some module reads it outside its own assignment: a name that is only
+assigned to, ``X += 1`` included, is not read.
 """
 import ast
 import pathlib
@@ -52,7 +55,7 @@ def _references(node, module: str, chain: frozenset, refs: dict):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             _references(child, module, chain | {child.name}, refs)
             continue
-        if isinstance(child, ast.Name):
+        if isinstance(child, ast.Name) and not isinstance(child.ctx, ast.Store):
             refs.setdefault(child.id, set()).add((module, chain))
         elif isinstance(child, ast.Attribute):
             refs.setdefault(child.attr, set()).add((module, chain))
@@ -62,14 +65,20 @@ def _references(node, module: str, chain: frozenset, refs: dict):
 
 
 def unused_definitions(sources: dict[str, str]) -> list[str]:
-    """The module-level ``def`` and ``class`` and the private methods of
-    module-level classes in ``sources`` (module name -> text) that no module
-    references outside the definition itself."""
+    """The module-level ``def``, ``class`` and assigned names and the private
+    methods of module-level classes in ``sources`` (module name -> text)
+    that no module references outside the definition itself."""
     defined, refs = [], {}
     for module, source in sources.items():
         tree = ast.parse(source)
         _references(tree, module, frozenset(), refs)
         for stmt in tree.body:
+            if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                defined.extend((module, node.id, node.id) for target in targets
+                               for node in ast.walk(target) if isinstance(node, ast.Name)
+                               and isinstance(node.ctx, ast.Store)
+                               and not node.id.startswith("__"))
             if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 continue
             if not stmt.name.startswith("__"):
@@ -104,6 +113,16 @@ def test_checker_reports_orphaned_classes_functions_and_private_methods():
         "b": "from .a import Used\nUsed().run()\n",
     }
     assert unused_definitions(sources) == ["a.Unused", "a.Used._unused", "a.Used._recursive"]
+
+
+def test_checker_reports_unread_assigned_names():
+    sources = {
+        "a": "_READ = 1\n_UNREAD = 2\n_A, (_B, _C) = 1, (2, 3)\n_ANN: int = _READ\n"
+             "_BUMPED = 0\n_BUMPED += 1\n__version__ = '1'\n"
+             "def run():\n    return _B\n",
+        "b": "from .a import _C, run\nimport a\nprint(a._ANN, run())\n",
+    }
+    assert unused_definitions(sources) == ["a._UNREAD", "a._A", "a._BUMPED"]
 
 
 def test_no_orphaned_private_functions():

@@ -17,6 +17,7 @@ from affinetl import (
     FREE_STRAND_FACTOR,
     ONE,
     LengthLimitExceeded,
+    NotFcWord,
     Q,
     V,
     RankMismatch,
@@ -43,6 +44,7 @@ from affinetl import (
     path,
     psi,
     rho,
+    rotate,
     solve_alpha_beta,
 )
 from affinetl.morphisms import braid_image
@@ -325,6 +327,36 @@ def test_orbit_classification():
     assert seen == {(f, r) for f in ("fwd", "rev") for r in (0, 1, 2)}
     with pytest.raises(RankMismatch):
         classify_orbit3(g3, fc_word(g3, (0,)))
+
+
+def orbit_table(length: int) -> dict:
+    """The rank-3 basis words of one length, each with its (family, k, rem):
+    every one is a rotation of the power-plus-prefix word of exactly one
+    family.  The oracle of the step rule of classify_orbit3."""
+    g3, k, rem = affine(3), *divmod(length, 3)
+    table = {}
+    for family, base, prefixes in (("fwd", (0, 1, 2), ((), (0,), (0, 1))),
+                                   ("rev", (1, 0, 2), ((), (1,), (1, 0)))):
+        for d in range(3):
+            table[rotate(g3, base * k + prefixes[rem], d)] = (family, k, rem)
+    return table
+
+
+def test_orbit_rule_matches_the_rotation_table():
+    g3 = affine(3)
+    words = [w for w in enumerate_fc(g3, 40) if len(w) >= 3]
+    tables = {n: orbit_table(n) for n in range(3, 41)}
+    assert set(words) == {w for table in tables.values() for w in table}
+    for w in words:
+        assert classify_orbit3(g3, w) == tables[len(w)][w]
+    # a tuple over the letters 0..3 that the table lacks is not a basis word
+    for n in range(3, 8):
+        for w in itertools.product(range(4), repeat=n):
+            if w in tables[n]:
+                assert classify_orbit3(g3, w) == tables[n][w]
+            else:
+                with pytest.raises(NotFcWord):
+                    classify_orbit3(g3, w)
 
 
 def test_generic_trace3_value_table():
