@@ -7,7 +7,6 @@ ring Z[v, 1/v] in the integral basis e = (1+q) f, where no gcd is needed.
 """
 
 from .algebra import (
-    DEFAULT_MAX_LEN,
     TLElement,
     chi,
     element_from_json,
@@ -22,6 +21,7 @@ from .algebra import (
     to_g_basis,
 )
 from .coxeter import (
+    DEFAULT_MAX_LEN,
     CoxeterGraph,
     affine,
     enumerate_fc,

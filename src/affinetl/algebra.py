@@ -27,17 +27,18 @@ every product of them is the one fold :func:`e_word`.
 from __future__ import annotations
 
 from .coxeter import (
-    DEFAULT_MAX_LEN,
     CoxeterGraph,
     _cartier_foata_letters,
+    _check_len,
     _rightmost_redex,
     _tables,
     fc_word,
+    parse_word,
     rotate as _rotate_word,
     reverse as _reverse_word,
     word_text,
 )
-from .errors import LengthLimitExceeded, NotFcWord, ParseError, RankMismatch
+from .errors import NotFcWord, ParseError, RankMismatch
 from .scalars import (
     L_ONE,
     ONE,
@@ -51,11 +52,6 @@ from .scalars import (
 
 # ---------------------------------------------------------------------------
 # word rewriting
-
-
-def _check_len(n: int, max_len: int):
-    if n > max_len:
-        raise LengthLimitExceeded(f"word of length {n} exceeds cap {max_len}")
 
 
 def _reduce(tables, word: list) -> int:
@@ -72,33 +68,33 @@ def _reduce(tables, word: list) -> int:
     return loops
 
 
-def reduce_letters(g: CoxeterGraph, letters, max_len: int = DEFAULT_MAX_LEN):
-    """Rewrite a raw word to its normal form, checking its letters: returns
-    ``(k, word)``, the Cartier-Foata letters ``word`` of a basis word of ``g``
-    with the input monomial equal to DELTA^k times its monomial."""
-    _check_len(len(letters), max_len)
+def reduce_letters(g: CoxeterGraph, letters):
+    """Rewrite a raw word to its normal form, checking its letters and its
+    length: returns ``(k, word)``, the Cartier-Foata letters ``word`` of a
+    basis word of ``g`` with the input monomial equal to DELTA^k times its
+    monomial."""
+    _check_len(len(letters))
     for s in letters:
         g.check_letter(s)
     word = list(letters)
     return _reduce(_tables(g), word), _cartier_foata_letters(g, word)
 
 
-def word_product(g: CoxeterGraph, left: tuple, right: tuple, max_len: int = DEFAULT_MAX_LEN):
+def word_product(g: CoxeterGraph, left: tuple, right: tuple):
     """The monomial kernel: append the letters of ``right`` to ``left`` one
     at a time, reducing after each.  Returns ``(loops, squares, word)``, the
     sandwich and square collapses made and the product's Cartier-Foata
     letters: f_left f_right = DELTA^loops f_word in the f-basis, and
     e_left e_right = q^loops (1+q)^squares e_word in the e-basis.  Trusts its
-    operands to be basis words of ``g``; either one, or any word the fold
-    forms, longer than ``max_len`` raises ``LengthLimitExceeded``."""
-    _check_len(max(len(left), len(right)), max_len)
-    if not right:
-        return 0, 0, left
+    operands to be basis words of ``g``; a reduced word past the cap raises
+    ``LengthLimitExceeded``, in either order of the operands."""
+    if not (left and right):
+        return 0, 0, left or right
     tables, word, loops = _tables(g), list(left), 0
     for s in right:
         word.append(s)
-        _check_len(len(word), max_len)
         loops += _reduce(tables, word)
+        _check_len(len(word))
     squares = len(left) + len(right) - len(word) - 2 * loops
     return loops, squares, _cartier_foata_letters(g, word)
 
@@ -222,14 +218,14 @@ def _term_key(term):
     return len(term[0]), term[0]
 
 
-def _product(g: CoxeterGraph, x: dict, y: dict, scale, max_len: int) -> dict:
+def _product(g: CoxeterGraph, x: dict, y: dict, scale) -> dict:
     """The bilinear product of two term dicts over ``g``: per basis pair the
     words multiply through :func:`word_product`, and the coefficient is
     ``scale(cx * cy, loops, squares)``.  Zero terms are dropped."""
     out: dict = {}
     for wx, cx in x.items():
         for wy, cy in y.items():
-            loops, squares, w = word_product(g, wx, wy, max_len)
+            loops, squares, w = word_product(g, wx, wy)
             c = scale(cx * cy, loops, squares)
             acc = out.get(w)
             out[w] = c if acc is None else acc + c
@@ -241,10 +237,10 @@ def _f_scale(c: Scalar, loops: int, squares: int) -> Scalar:
     return c * delta_pow(loops) if loops else c
 
 
-def multiply(x: TLElement, y: TLElement, *, max_len: int = DEFAULT_MAX_LEN) -> TLElement:
+def multiply(x: TLElement, y: TLElement) -> TLElement:
     """Bilinear product in the f-basis."""
     x._require_same_graph(y)
-    return TLElement._canonical(x.graph, _product(x.graph, x.terms, y.terms, _f_scale, max_len))
+    return TLElement._canonical(x.graph, _product(x.graph, x.terms, y.terms, _f_scale))
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +257,7 @@ def e_scale(c: Laurent, loops: int, squares: int) -> Laurent:
 
 def e_multiply(g: CoxeterGraph, x: dict, y: dict) -> dict:
     """Product of two e-elements over ``g``."""
-    return _product(g, x, y, e_scale, DEFAULT_MAX_LEN)
+    return _product(g, x, y, e_scale)
 
 
 def e_to_element(g: CoxeterGraph, x: dict) -> TLElement:
@@ -398,7 +394,8 @@ def _split_top_level_terms(text: str):
 
 
 def parse_element(text: str, graph: CoxeterGraph) -> TLElement:
-    """Parse the element grammar in the f-basis, where the text ``0`` is zero.
+    """Parse the element grammar in the f-basis, where the text ``0`` is zero
+    and the juxtaposed groups of a term, as in ``[s1][s2 a]``, multiply.
 
     >>> from .coxeter import affine
     >>> x = parse_element("(-1/q)*[s1 a s2] + (1/(1+q))*[s1 s2]", affine(3))
@@ -425,16 +422,21 @@ def parse_element(text: str, graph: CoxeterGraph) -> TLElement:
             coeff = scalars.parse(head[:-1])
         else:
             raise ParseError(f"expected '*' between scalar and word in {term!r}")
-        letters = tuple(graph.parse_letter(tok) for tok in term[bra + 1:ket].split())
-        _add_term(terms, scalars, graph, letters, coeff * sign)
+        w = ()
+        for group in term[bra:ket + 1].split("]")[:-1]:
+            if not (group := group.strip()).startswith("["):
+                raise ParseError(f"expected '[' after ']' in {term!r}")
+            loops, _, w = word_product(graph, w, fc_word(graph, parse_word(graph, group[1:])))
+            if loops:
+                coeff = scalars.mul(coeff, delta_pow(loops))
+        _add_term(terms, scalars, w, coeff * sign)
     return TLElement._canonical(graph, terms)
 
 
-def _add_term(terms: dict, scalars: _ScalarParser, graph, letters, coeff: Scalar):
-    """Add ``coeff * f_letters`` to the terms of a parsed element; the sum of
-    like terms is charged and degree-bounded like a sum inside a scalar text,
-    so one budget covers the whole element."""
-    w = fc_word(graph, letters)
+def _add_term(terms: dict, scalars: _ScalarParser, w: tuple, coeff: Scalar):
+    """Add ``coeff * f_w`` to the terms of a parsed element; the products and
+    sums of its coefficients are charged and degree-bounded like those inside
+    a scalar text, so one budget covers the whole element."""
     terms[w] = scalars.add(terms[w], coeff) if w in terms else coeff
 
 
@@ -448,6 +450,6 @@ def element_to_json(x: TLElement) -> list:
 def element_from_json(data, graph: CoxeterGraph) -> TLElement:
     scalars, terms = _ScalarParser(), {}
     for item in data:
-        letters = tuple(graph.parse_letter(tok) for tok in item["word"])
-        _add_term(terms, scalars, graph, letters, scalars.parse(item["coeff"]))
+        w = fc_word(graph, [graph.parse_letter(tok) for tok in item["word"]])
+        _add_term(terms, scalars, w, scalars.parse(item["coeff"]))
     return TLElement._canonical(graph, terms)

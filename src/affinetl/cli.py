@@ -13,7 +13,6 @@ import sys
 
 from . import verify as verify_mod
 from .algebra import (
-    DEFAULT_MAX_LEN,
     TLElement,
     element_to_json,
     format_element,
@@ -21,7 +20,7 @@ from .algebra import (
     parse_element,
     reduce_letters,
 )
-from .coxeter import affine, enumerate_fc, parse_word, path, word_text
+from .coxeter import DEFAULT_MAX_LEN, affine, enumerate_fc, parse_word, path, word_text
 from .errors import InexactDivision, ParseError
 from .morphisms import parse_braid
 from .scalars import delta_pow
@@ -91,28 +90,11 @@ def cmd_trace(args) -> int:
     return 0
 
 
-def _split_product(text: str) -> list:
-    """An argument may juxtapose bracket groups, as in "[s1][s2 a]"; split
-    it at the "][" boundaries into the factors."""
-    cuts = [0]
-    depth = 0
-    for pos, ch in enumerate(text):
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-            if depth == 0 and text[pos + 1:].lstrip().startswith("["):
-                cuts.append(text.find("[", pos + 1))
-    cuts.append(len(text))
-    return [text[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
-
-
 def cmd_multiply(args) -> int:
     g = _graph(args)
     out = TLElement.one(g)
     for arg in args.elements:
-        for factor in _split_product(_capped(arg)):
-            out = multiply(out, parse_element(factor, g), max_len=args.max_len)
+        out = multiply(out, parse_element(_capped(arg), g))
     text = format_element(out, basis=args.basis)
     _emit(
         args,
@@ -125,7 +107,7 @@ def cmd_multiply(args) -> int:
 def cmd_reduce(args) -> int:
     g = _graph(args)
     letters = parse_word(g, _capped(args.word))
-    loops, w = reduce_letters(g, letters, max_len=args.max_len)
+    loops, w = reduce_letters(g, letters)
     scalar, body = delta_pow(loops), word_text(g, w)
     text = body if scalar.is_one() else f"{scalar} * {body}"
     _emit(
@@ -139,37 +121,21 @@ def cmd_reduce(args) -> int:
 def cmd_enumerate(args) -> int:
     g = _graph(args)
     words = enumerate_fc(g, args.max_len)
-    if args.format == "json":
-        print(json.dumps([[g.letter_name(s) for s in w] for w in words]))
-    else:
-        for w in words:
-            print(word_text(g, w))
+    _emit(args, [[g.letter_name(s) for s in w] for w in words],
+          "\n".join(word_text(g, w) for w in words))
     return 0
 
 
 def cmd_verify(args) -> int:
     results = verify_mod.run_suite(args.suite, args.seed, args.gens, args.kmax)
     ok = all(r.ok for r in results)
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "suite": args.suite,
-                    "seed": args.seed,
-                    "ok": ok,
-                    "checks": [
-                        {"name": r.name, "ok": r.ok, **({"detail": r.detail} if r.detail else {})}
-                        for r in results
-                    ],
-                }
-            )
-        )
-    else:
-        for r in results:
-            mark = "PASS" if r.ok else "FAIL"
-            extra = f"  {r.detail}" if r.detail else ""
-            print(f"{mark} {r.name}{extra}")
-        print(f"{'PASS' if ok else 'FAIL'} {args.suite}: {sum(r.ok for r in results)}/{len(results)} checks")
+    checks = [{"name": r.name, "ok": r.ok, **({"detail": r.detail} if r.detail else {})}
+              for r in results]
+    lines = [f"{'PASS' if r.ok else 'FAIL'} {r.name}" + (f"  {r.detail}" if r.detail else "")
+             for r in results]
+    lines.append(f"{'PASS' if ok else 'FAIL'} {args.suite}: {sum(r.ok for r in results)}/{len(results)} checks")
+    _emit(args, {"suite": args.suite, "seed": args.seed, "ok": ok, "checks": checks},
+          "\n".join(lines))
     return 0 if ok else 1
 
 
@@ -186,23 +152,21 @@ def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="affinetl")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, typed=True, capped=True, gens=int):
+    def common(p, typed=True, gens=int):
         p.add_argument("--gens", type=gens, default=2, help="generator count")
         if typed:
             p.add_argument("--type", choices=("affine", "classical"), default="affine")
         p.add_argument("--format", choices=("text", "json"), default="text")
-        if capped:
-            p.add_argument("--max-len", type=_at_least(0), default=DEFAULT_MAX_LEN)
 
     p = sub.add_parser("invariant", help="link invariant of braid-word closures")
-    common(p, typed=False, capped=False, gens=_at_least(2))
+    common(p, typed=False, gens=_at_least(2))
     p.add_argument("words", nargs="*", help="braid words, e.g. 's1 s1 s1'")
     p.add_argument("--file", help="newline-delimited braid words")
     p.add_argument("--jobs", type=_at_least(1), default=1)
     p.set_defaults(fn=cmd_invariant)
 
     p = sub.add_parser("trace", help="Markov trace of an element")
-    common(p, capped=False)
+    common(p)
     p.add_argument("element")
     p.set_defaults(fn=cmd_trace)
 
@@ -219,10 +183,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate-fc", help="canonical FC words up to a length")
     common(p)
+    p.add_argument("--max-len", type=_at_least(0), default=DEFAULT_MAX_LEN)
     p.set_defaults(fn=cmd_enumerate)
 
     p = sub.add_parser("verify", help="run a named check battery")
-    common(p, typed=False, capped=False)
+    common(p, typed=False)
     p.add_argument("--suite", choices=("all",) + verify_mod.SUITES, default="all")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--kmax", type=int, default=3)

@@ -27,8 +27,14 @@ from .errors import InvalidGenerator, LengthLimitExceeded, NotFcWord, RankMismat
 AFFINE = "affine-cycle"
 PATH = "type-a-path"
 
-# the longest basis word: the default product cap and the enumerate_fc limit
+# the longest basis word, held where words enter (fc_word, reduce_letters,
+# enumerate_fc) and where they grow (word_product); nothing can raise it
 DEFAULT_MAX_LEN = 64
+
+
+def _check_len(n: int):
+    if n > DEFAULT_MAX_LEN:
+        raise LengthLimitExceeded(f"word of length {n} exceeds cap {DEFAULT_MAX_LEN}")
 
 
 def _refuse_sequence_op(self, other):
@@ -163,7 +169,8 @@ def fc_check(g: CoxeterGraph, word) -> bool:
 
 
 def fc_word(g: CoxeterGraph, letters) -> tuple[int, ...]:
-    """The canonical (Cartier-Foata) letters of a redex-free word.
+    """The canonical (Cartier-Foata) letters of a redex-free word of at most
+    ``DEFAULT_MAX_LEN`` letters.
 
     >>> fc_word(path(3), [2, 0, 1])
     (0, 2, 1)
@@ -171,6 +178,7 @@ def fc_word(g: CoxeterGraph, letters) -> tuple[int, ...]:
     '[s1 s3 s2]'
     """
     letters = tuple(letters)
+    _check_len(len(letters))
     if not fc_check(g, letters):
         raise NotFcWord(f"word {letters} has a redex on {g}")
     return _cartier_foata_letters(g, letters)
@@ -223,8 +231,7 @@ def enumerate_fc(g: CoxeterGraph, maxlen: int):
     >>> len(enumerate_fc(path(3), 6))
     14
     """
-    if maxlen > DEFAULT_MAX_LEN:
-        raise LengthLimitExceeded(f"maxlen {maxlen} exceeds the limit {DEFAULT_MAX_LEN}")
+    _check_len(maxlen)
     comm, adj = _tables(g)
     out = [()]
     level = {(): None}

@@ -582,7 +582,7 @@ class _ScalarParser:
     of parsed values that :meth:`add` makes (the like terms of an element)."""
 
     def __init__(self):
-        self.work = 0
+        self.work, self.pos = 0, None  # no text position before a parse
 
     def parse(self, text: str) -> Scalar:
         self.text, self.pos = text, 0

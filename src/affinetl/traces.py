@@ -23,8 +23,8 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 
-from .algebra import DEFAULT_MAX_LEN, TLElement, e_multiply, e_to_element, e_word
-from .coxeter import CoxeterGraph, affine, fc_word, path
+from .algebra import TLElement, e_multiply, e_to_element, e_word
+from .coxeter import DEFAULT_MAX_LEN, CoxeterGraph, affine, fc_word, path
 from .errors import LengthLimitExceeded, NotFcWord, RankMismatch, SingularSystem
 from .morphisms import BraidWord, _f_image, braid_collapse
 from .scalars import DELTA, L_ONE, L_ZERO, ONE, Laurent, Scalar, qp1_laurent_pow
@@ -241,12 +241,11 @@ def build_xz(i: int) -> tuple[TLElement, TLElement]:
     the image of the rank-2 algebra under the tower step, for i >= 1.
 
     x_1 is the tower image of the product of the two rank-2 generators;
-    z_i is the image of x_i under chi (word reversal with q -> 1/q).
+    z_i is the image of x_i under chi (word reversal with q -> 1/q).  Its
+    words have 3i letters, so i > 21 raises ``LengthLimitExceeded``.
     """
     if i < 1:
         raise ValueError(f"x_i and z_i need i >= 1, not {i}")
-    if 3 * i + 2 > DEFAULT_MAX_LEN:
-        raise LengthLimitExceeded(f"index {i} needs words longer than the cap {DEFAULT_MAX_LEN}")
     return tuple(e_to_element(affine(3), e).scale(L_ONE.over_qp1_pow(2 * i)) for e in _xz_e(i))
 
 

@@ -27,11 +27,12 @@ from affinetl import (
     path,
     psi,
     reduce_letters,
+    rho,
     to_g_basis,
 )
 from affinetl.algebra import word_product
 from affinetl.scalars import delta_pow
-from affinetl.verify import check_products, check_relations, random_element
+from affinetl.verify import check_products, check_relations, random_element, random_fc_letters
 
 from conftest import assert_checks, assert_element_equal
 
@@ -40,14 +41,21 @@ def mono(g, letters, c=ONE):
     return TLElement.monomial(g, letters, c)
 
 
+# a 64-letter basis word of affine(3), at the cap: (s1 s2 a)^21 s1
+W64 = (0, 1, 2) * 21 + (0,)
+
+
 def test_word_product_examples():
     g3, p3 = affine(3), path(3)
     assert word_product(g3, (0,), (0,)) == (0, 1, (0,))
     assert word_product(g3, (0, 1), (0,)) == (1, 0, (0,))
     assert word_product(p3, (0, 1, 2), (0,)) == (1, 0, (0, 2))
     assert word_product(p3, (0, 2), ()) == (0, 0, (0, 2))
-    with pytest.raises(LengthLimitExceeded):
-        word_product(g3, (0, 1, 2), (0,), max_len=3)
+    # the cap holds on the reduced word: a 65th letter that reduces away is fine
+    assert word_product(g3, W64, (0,)) == (0, 1, W64)
+    assert word_product(g3, (0,), W64) == (0, 1, W64)
+    with pytest.raises(LengthLimitExceeded, match="word of length 65 exceeds cap 64"):
+        word_product(g3, W64, (1,))
 
 
 def test_letters_are_checked_at_the_boundary():
@@ -239,21 +247,81 @@ def test_associativity(rng):
 
 
 def test_length_cap():
+    # the free pair of affine(2) never reduces: the words only grow
     g2 = affine(2)
-    x = mono(g2, (0, 1) * 3)
-    with pytest.raises(LengthLimitExceeded):
-        multiply(x, x, max_len=8)
-    with pytest.raises(LengthLimitExceeded):
+    x = mono(g2, (0, 1) * 16)
+    assert multiply(x, x) == mono(g2, (0, 1) * 32)
+    with pytest.raises(LengthLimitExceeded, match="word of length 65 exceeds cap 64"):
+        multiply(multiply(x, x), mono(g2, (0,)))
+    assert multiply(multiply(x, x), mono(g2, (1,))) == mono(g2, (0, 1) * 32)
+    # reduce_letters bounds its raw input, which may reduce to a short word
+    with pytest.raises(LengthLimitExceeded, match="word of length 80 exceeds cap 64"):
         reduce_letters(g2, (0, 1) * 40)
+    with pytest.raises(LengthLimitExceeded, match="word of length 65 exceeds cap 64"):
+        reduce_letters(g2, (0,) * 65)
+    assert reduce_letters(g2, (0,) * 64) == (0, (0,))
 
 
 def test_length_cap_is_the_same_in_both_orders():
     g3 = affine(3)
-    x, one = mono(g3, (0, 1, 2)), TLElement.one(g3)
-    for a, b in ((x, one), (one, x)):
-        with pytest.raises(LengthLimitExceeded):
-            multiply(a, b, max_len=2)
-        assert multiply(a, b, max_len=3) == x
+    w, s1 = mono(g3, W64), mono(g3, (0,))
+    assert multiply(w, s1) == w == multiply(s1, w)
+    # s2 extends W64 on the right, a on the left: 65 letters either way
+    for a, b in ((w, mono(g3, (1,))), (mono(g3, (2,)), w)):
+        with pytest.raises(LengthLimitExceeded, match="word of length 65 exceeds cap 64"):
+            multiply(a, b)
+
+
+def test_every_entry_refuses_a_word_past_the_cap():
+    g3 = affine(3)
+    w65 = W64 + (1,)
+    text = "[" + " ".join(g3.letter_name(s) for s in w65) + "]"
+    entries = (
+        lambda: parse_element(text, g3),
+        lambda: parse_element("[s1] + 2*" + text, g3),
+        lambda: element_from_json([{"coeff": "1", "word": text[1:-1].split()}], g3),
+        lambda: TLElement(g3, {w65: ONE}),
+        lambda: TLElement.monomial(g3, w65),
+        lambda: TLElement.one(g3).coeff(w65),
+        lambda: fc_word(g3, w65),
+        # the basis words that enter are capped, so none reaches a map or a
+        # trace whose recursion is as deep as the word
+        lambda: TLElement.monomial(g3, (0, 1, 2) * 200),
+    )
+    for entry in entries:
+        with pytest.raises(LengthLimitExceeded, match="exceeds cap 64"):
+            entry()
+
+
+def test_a_word_at_the_cap_is_accepted():
+    g3 = affine(3)
+    text = "[" + " ".join(g3.letter_name(s) for s in W64) + "]"
+    x = parse_element(text, g3)
+    assert x == mono(g3, W64) == TLElement(g3, {W64: ONE})
+    assert element_from_json(element_to_json(x), g3) == x
+    # a word of length 3k + 1 takes the value of its orbit family at 3k, the
+    # solver's beta_21 (tests/test_traces.py)
+    assert rho(x) == rho(mono(g3, (0, 1, 2) * 21)) == -ONE / (ONE + Q) ** 63
+
+
+def test_juxtaposed_groups_multiply(rng):
+    for g in (affine(2), affine(3), affine(4), path(3)):
+        for _ in range(25):
+            u, w = random_fc_letters(g, rng, 6), random_fc_letters(g, rng, 6)
+            text = "".join("[" + " ".join(g.letter_name(s) for s in x) + "]" for x in (u, w))
+            assert parse_element(text, g) == multiply(mono(g, u), mono(g, w)), text
+    g3 = affine(3)
+    # juxtaposition binds tighter than + and -
+    assert parse_element("[s1][s2] + [a]", g3) == mono(g3, (0, 1)) + mono(g3, (2,))
+    assert parse_element("[s1]-[s1][s2]", g3) == mono(g3, (0,)) - mono(g3, (0, 1))
+    assert parse_element("q*[s1] [s2 s1]", g3) == mono(g3, (0,), Q * DELTA)
+    with pytest.raises(ParseError, match="expected '\\[' after '\\]'"):
+        parse_element("[s1] x [s2]", g3)
+    # each loop multiplies the coefficient under the parse's degree bound:
+    # DELTA^128 has degree 512
+    assert parse_element("[s1][s2]" * 129, g3) == mono(g3, (0, 1), DELTA ** 128)
+    with pytest.raises(ParseError, match="degree 512"):
+        parse_element("[s1][s2]" * 130, g3)
 
 
 def test_classical_span_is_closed():

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affinetl import affine, parse_element, parse_scalar
-from affinetl.cli import main
+from affinetl import ONE, Q, affine, parse_element, parse_scalar
+from affinetl.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -188,16 +188,22 @@ def test_unreadable_file_exits_2(capsys, tmp_path):
     assert err.startswith("error: ") and "missing" in err
 
 
+# a 64-letter basis word of affine(3), at the cap, and one letter past it
+W64 = "[" + " ".join(["s1 s2 a"] * 21 + ["s1"]) + "]"
+W65 = W64[:-1] + " s2]"
+
+
 def test_multiply_caps_juxtaposed_factors(capsys):
-    for argv in (["[s1][s2][a]"], ["[s1]", "[s2]", "[a]"]):
-        code, out, err = run(capsys, "multiply", "--gens", "3", "--max-len", "2", *argv)
+    # the cap holds on each reduced product, the same in both orders
+    for argv in ([W64 + "[s2]"], [W64, "[s2]"], ["[a]" + W64], ["[a]", W64]):
+        code, out, err = run(capsys, "multiply", "--gens", "3", *argv)
         assert code == 2 and out == ""
-        assert "exceeds cap 2" in err
+        assert "word of length 65 exceeds cap 64" in err
+    for argv in ([W64 + "[s1]"], [W64, "[s1]"], ["[s1]" + W64], ["[s1]", W64]):
+        assert run(capsys, "multiply", "--gens", "3", *argv) == (0, W64 + "\n", "")
 
 
 @pytest.mark.parametrize("argv", [
-    ["multiply", "--max-len", "-1", "[s1]"],
-    ["reduce", "--max-len", "-1", "s1"],
     ["enumerate-fc", "--gens", "3", "--max-len", "-1"],
 ])
 def test_negative_max_len_is_a_usage_error(capsys, argv):
@@ -208,12 +214,28 @@ def test_negative_max_len_is_a_usage_error(capsys, argv):
 
 
 def test_multiply_caps_input_words(capsys):
-    for argv in (["[s1 s2 a]", "[]"], ["[s1 s2 a]"], ["[s1] + [s1 s2 a]"]):
-        code, out, err = run(capsys, "multiply", "--gens", "3", "--max-len", "2", *argv)
+    for argv in ([W65, "[]"], [W65], ["[s1] + " + W65], ["[]", W65]):
+        code, out, err = run(capsys, "multiply", "--gens", "3", *argv)
         assert code == 2 and out == ""
-        assert "word of length 3 exceeds cap 2" in err
-    code, out, _ = run(capsys, "multiply", "--gens", "3", "--max-len", "3", "[s1 s2 a]", "[]")
-    assert code == 0 and out.strip() == "[s1 s2 a]"
+        assert "word of length 65 exceeds cap 64" in err
+    assert run(capsys, "multiply", "--gens", "3", W64, "[]") == (0, W64 + "\n", "")
+
+
+def test_trace_caps_input_words(capsys):
+    # the 600-letter word used to exhaust the recursion of the E image
+    long = "[" + " ".join(["s1 s2 a"] * 200) + "]"
+    for word, n in ((W65, 65), (long, 600)):
+        code, out, err = run(capsys, "trace", "--gens", "3", word)
+        assert code == 2 and out == ""
+        assert err == f"error: word of length {n} exceeds cap 64\n"
+    assert run(capsys, "trace", "--gens", "3", W64) == (
+        0, str(-ONE / (ONE + Q) ** 63) + "\n", "")
+
+
+def test_juxtaposition_binds_tighter_than_sum(capsys):
+    for text, want in (("[s1][s2] + [a]", "[a] + [s1 s2]"),
+                       ("[s1]-[s1][s2]", "[s1] + (-1)*[s1 s2]")):
+        assert run(capsys, "multiply", "--gens", "3", text) == (0, want + "\n", "")
 
 
 def test_input_over_the_cap_is_a_usage_error(capsys, monkeypatch, tmp_path):
@@ -291,7 +313,8 @@ def test_verify_rejects_kmax_past_the_solver_bound(capsys):
     assert err.startswith("error: ") and "21" in err
 
 
-@pytest.mark.parametrize("argv", [["trace", "[s1 a]"], ["verify"], ["invariant", "s1"]])
+@pytest.mark.parametrize("argv", [["trace", "[s1 a]"], ["verify"], ["invariant", "s1"],
+                                  ["multiply", "[s1]"], ["reduce", "s1"]])
 def test_trace_and_verify_take_no_max_len(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--max-len", "1"])
@@ -396,3 +419,23 @@ def test_import_loads_no_pool_or_typing():
     out = subprocess.run([sys.executable, "-S", "-s", "-c", probe],
                          capture_output=True, text=True, check=True).stdout
     assert out.splitlines()[-1] == "[]"
+
+
+def test_cli_options_are_pinned():
+    # a new option fails here until this table, README and the option count
+    # in ROADMAP change with it
+    top = build_parser()
+    sub = next(a for a in top._actions if isinstance(a.choices, dict))
+    options = {
+        name: sorted(s for a in p._actions if a.dest != "help" for s in a.option_strings)
+        for name, p in sub.choices.items()
+    }
+    assert options == {
+        "invariant": ["--file", "--format", "--gens", "--jobs"],
+        "trace": ["--format", "--gens", "--type"],
+        "multiply": ["--basis", "--format", "--gens", "--type"],
+        "reduce": ["--format", "--gens", "--type"],
+        "enumerate-fc": ["--format", "--gens", "--max-len", "--type"],
+        "verify": ["--format", "--gens", "--kmax", "--seed", "--suite"],
+    }
+    assert sum(map(len, options.values())) == 23

@@ -421,6 +421,15 @@ def test_xz_closed_forms():
         build_xz(0)  # the e-basis table of x_i and z_i holds for i >= 1 only
 
 
+def test_build_xz_at_the_cap():
+    # x_i has words of 3i letters, so the word cap of 64 allows i <= 21
+    x21, z21 = build_xz(21)
+    assert max(map(len, x21.terms)) == max(map(len, z21.terms)) == 63
+    assert z21 == chi(x21)
+    with pytest.raises(LengthLimitExceeded, match="word of length 66 exceeds cap 64"):
+        build_xz(22)
+
+
 def test_xz_general_closed_forms():
     # x_i f2 and f2 z_i collapse to two terms; the leading coefficients are
     # (-1)^i (q+1)^{i-1} / q^i  and  (-1)^i q (q+1)^{i-1}, the signs being
