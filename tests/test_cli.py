@@ -205,6 +205,8 @@ def test_multiply_caps_juxtaposed_factors(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["enumerate-fc", "--gens", "3", "--max-len", "-1"],
+    ["enumerate-fc", "--max-len=-7", "--gens", "3"],
+    ["enumerate-fc", "--gens", "4", "--type", "affine", "--max-len", "-1"],
 ])
 def test_negative_max_len_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
