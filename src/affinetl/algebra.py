@@ -345,57 +345,29 @@ def chi(x: TLElement) -> TLElement:
 # text and JSON forms
 
 
+def _basis_terms(x: TLElement, basis: str) -> list:
+    """The (word, coefficient) pairs of x in the f- or g-basis, in print order."""
+    if basis == "g":
+        return sorted(to_g_basis(x).items(), key=_term_key)
+    if basis == "f":
+        return x.sorted_terms()
+    raise ValueError(f"unknown basis {basis!r}")
+
+
 def format_element(x: TLElement, basis: str = "f") -> str:
     """``term (+ term)*`` with ``term = (scalar)*[letters]``; "0" when empty."""
-    if basis == "g":
-        terms = sorted(to_g_basis(x).items(), key=_term_key)
-    elif basis == "f":
-        terms = x.sorted_terms()
-    else:
-        raise ValueError(f"unknown basis {basis!r}")
-    if not terms:
-        return "0"
     parts = []
-    for w, c in terms:
+    for w, c in _basis_terms(x, basis):
         body = word_text(x.graph, w)
         parts.append(body if c.is_one() else f"({c})*{body}")
-    return " + ".join(parts)
-
-
-def _split_top_level_terms(text: str):
-    """Split on +/- that directly follow a closing bracket; yields signed
-    term strings.  Signs inside scalar factors sit behind parentheses or
-    operators and are never split points."""
-    terms = []
-    sign = 1
-    if text.lstrip().startswith(("+", "-")):
-        stripped = text.lstrip()
-        if stripped[0] == "-":
-            sign = -1
-        text = stripped[1:]
-    depth = 0
-    start = 0
-    prev_significant = ""
-    for pos, ch in enumerate(text):
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        elif ch in "+-" and depth == 0 and prev_significant == "]":
-            terms.append((sign, text[start:pos]))
-            sign = 1 if ch == "+" else -1
-            start = pos + 1
-            prev_significant = ""
-            continue
-        if not ch.isspace():
-            prev_significant = ch
-    terms.append((sign, text[start:]))
-    return terms
+    return " + ".join(parts) or "0"
 
 
 def parse_element(text: str, graph: CoxeterGraph) -> TLElement:
-    """Parse the element grammar in the f-basis, where the text ``0`` is zero
-    and the juxtaposed groups of a term, as in ``[s1][s2 a]``, multiply.
+    """Parse the element grammar in the f-basis, in one left-to-right pass:
+    terms joined by runs of ``+`` and ``-``, each an optional scalar product
+    and ``*``, then one or more ``[letters]`` groups, which multiply.  The
+    text ``0`` is zero.
 
     >>> from .coxeter import affine
     >>> x = parse_element("(-1/q)*[s1 a s2] + (1/(1+q))*[s1 s2]", affine(3))
@@ -406,31 +378,28 @@ def parse_element(text: str, graph: CoxeterGraph) -> TLElement:
         raise ParseError("empty element text")
     if text.strip() == "0":
         return TLElement.zero(graph)
-    scalars, terms = _ScalarParser(), {}
-    for sign, term in _split_top_level_terms(text):
-        term = term.strip()
-        bra = term.find("[")
-        ket = term.rfind("]")
-        if bra < 0 or ket < 0 or ket < bra:
-            raise ParseError(f"term {term!r} has no [word]")
-        if term[ket + 1:].strip():
-            raise ParseError(f"unexpected text after ']' in {term!r}")
-        head = term[:bra].rstrip()
-        if head == "":
-            coeff = ONE
-        elif head.endswith("*"):
-            coeff = scalars.parse(head[:-1])
-        else:
-            raise ParseError(f"expected '*' between scalar and word in {term!r}")
-        w = ()
-        for group in term[bra:ket + 1].split("]")[:-1]:
-            if not (group := group.strip()).startswith("["):
-                raise ParseError(f"expected '[' after ']' in {term!r}")
-            loops, _, w = word_product(graph, w, fc_word(graph, parse_word(graph, group[1:])))
+    p, terms = _ScalarParser(), {}
+    p.start(text)
+    while True:
+        sign, coeff, w = p.signs(), ONE, ()
+        if p.peek() != "[":
+            coeff = p.term()
+            p.take("*")
+        # a product stops only before "*[", so at least one group follows
+        while p.at("["):
+            ket = text.find("]", p.pos)
+            if ket < 0:
+                p.error("expected ']'")
+            letters = parse_word(graph, text[p.pos + 1:ket])
+            loops, _, w = word_product(graph, w, fc_word(graph, letters))
             if loops:
-                coeff = scalars.mul(coeff, delta_pow(loops))
-        _add_term(terms, scalars, w, coeff * sign)
-    return TLElement._canonical(graph, terms)
+                coeff = p.mul(coeff, delta_pow(loops))
+            p.pos = ket + 1
+        _add_term(terms, p, w, coeff * sign)
+        if not p.peek():
+            return TLElement._canonical(graph, terms)
+        if not p.at("+-"):
+            p.error("expected '[' after ']'")
 
 
 def _add_term(terms: dict, scalars: _ScalarParser, w: tuple, coeff: Scalar):
@@ -440,10 +409,10 @@ def _add_term(terms: dict, scalars: _ScalarParser, w: tuple, coeff: Scalar):
     terms[w] = scalars.add(terms[w], coeff) if w in terms else coeff
 
 
-def element_to_json(x: TLElement) -> list:
+def element_to_json(x: TLElement, basis: str = "f") -> list:
     return [
         {"coeff": str(c), "word": [x.graph.letter_name(s) for s in w]}
-        for w, c in x.sorted_terms()
+        for w, c in _basis_terms(x, basis)
     ]
 
 

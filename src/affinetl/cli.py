@@ -95,12 +95,10 @@ def cmd_multiply(args) -> int:
     out = TLElement.one(g)
     for arg in args.elements:
         out = multiply(out, parse_element(_capped(arg), g))
-    text = format_element(out, basis=args.basis)
-    _emit(
-        args,
-        {"gens": args.gens, "basis": args.basis, "terms": element_to_json(out)},
-        text,
-    )
+    # only the printed form is made, so the g-basis conversion runs once
+    form = element_to_json if args.format == "json" else format_element
+    shown = form(out, args.basis)
+    _emit(args, {"gens": args.gens, "basis": args.basis, "terms": shown}, shown)
     return 0
 
 

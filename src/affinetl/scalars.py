@@ -401,6 +401,8 @@ class Scalar:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
+        if self.den == (1,) and len(self.num) < 2:  # an integer hashes as the int it equals
+            return hash(self.num[0] if self.num else 0)
         return hash((self.num, self.den))
 
     def __bool__(self):
@@ -578,17 +580,23 @@ def _bits(x: Scalar) -> int:
 
 
 class _ScalarParser:
-    """Reads scalar texts under one work budget, which also covers the sums
-    of parsed values that :meth:`add` makes (the like terms of an element)."""
+    """Reads a text left to right under one work budget, which also covers
+    the sums of parsed values that :meth:`add` makes (the like terms of an
+    element).  :meth:`parse` reads a scalar text; ``parse_element`` calls
+    :meth:`start` once and reads a whole element, so its error positions
+    count from the start of its text.  A product (:meth:`term`) stops before
+    a ``*`` followed by ``[``, where an element's word begins."""
 
     def __init__(self):
         self.work, self.pos = 0, None  # no text position before a parse
 
-    def parse(self, text: str) -> Scalar:
+    def start(self, text: str):
         self.text, self.pos = text, 0
+
+    def parse(self, text: str) -> Scalar:
+        self.start(text)
         out = self.expr()
-        self.skip_ws()
-        if self.pos != len(text):
+        if self.peek():
             self.error("trailing input")
         self.pos = None  # a later sum of parsed values has no text position
         return out
@@ -628,13 +636,17 @@ class _ScalarParser:
         except ValueError as exc:  # more digits than Python converts
             self.error(str(exc))
 
-    def expr(self) -> Scalar:
+    def signs(self) -> int:
+        """The product of a run of ``+`` and ``-`` signs, as 1 or -1."""
         sign = 1
         while self.at("+-"):
             if self.peek() == "-":
                 sign = -sign
             self.pos += 1
-        out = self.term() * sign
+        return sign
+
+    def expr(self) -> Scalar:
+        out = self.signs() * self.term()
         while self.at("+-"):
             op = self.peek()
             self.pos += 1
@@ -645,8 +657,11 @@ class _ScalarParser:
     def term(self) -> Scalar:
         out = self.factor()
         while self.at("*/"):
-            op = self.peek()
+            op, star = self.peek(), self.pos
             self.pos += 1
+            if op == "*" and self.peek() == "[":
+                self.pos = star  # the product ends; an element's word follows
+                break
             f = self.factor()
             out = self.mul(out, f if op == "*" else f.inv())
         return out

@@ -324,6 +324,57 @@ def test_juxtaposed_groups_multiply(rng):
         parse_element("[s1][s2]" * 130, g3)
 
 
+# coefficient texts and their values, written without the scalar parser;
+# None is a term with no coefficient
+COEFF_TEXTS = (("2", ONE + ONE), ("q^2", Q * Q), ("1/(1+q)", ONE / (ONE + Q)),
+               ("(-1/q)", -ONE / Q), ("v^-1*q", Q / V), ("( 1 + q )", ONE + Q), (None, ONE))
+
+
+def test_element_grammar_oracle(rng):
+    # texts built from parts of known value: each term is a run of signs, an
+    # optional coefficient and one to three juxtaposed FC words, and the
+    # reader must give the sum of sign * c * the product of the monomials
+    def ws():
+        return rng.choice(("", " ", "  ", "\t", "\n"))
+
+    for g in (affine(2), affine(3), affine(4), path(3)):
+        for _ in range(40):
+            text, want = "", TLElement.zero(g)
+            for i in range(rng.randint(1, 4)):
+                signs = [rng.choice("+-") for _ in range(rng.randint(1 if i else 0, 3))]
+                coeff_text, c = rng.choice(COEFF_TEXTS)
+                text += ws() + "".join(sign + ws() for sign in signs)
+                if coeff_text is not None:
+                    text += coeff_text + ws() + "*" + ws()
+                product = TLElement.one(g)
+                for _ in range(rng.randint(1, 3)):
+                    w = random_fc_letters(g, rng, 5)
+                    text += "[" + ws() + " ".join(g.letter_name(s) for s in w) + ws() + "]" + ws()
+                    product = multiply(product, mono(g, w))
+                want = want + product.scale(c * (-1) ** signs.count("-"))
+            assert parse_element(text, g) == want, repr(text)
+
+
+def test_element_grammar_errors_and_signs():
+    g3 = affine(3)
+    # "*" binds tighter than "+" and "-", so a sum before "*[" is not a
+    # coefficient, and each error names its position in the whole text
+    for text, pos in (("1+q*[s1]", 1), ("q-1*[s1]", 1), ("[s2] - 1+q*[s1]", 8)):
+        with pytest.raises(ParseError, match=f"expected '\\*' \\(at position {pos}\\)"):
+            parse_element(text, g3)
+    for text, pos in (("2*[s1] + (q+)*[s2]", 12), ("-(q+)*[s1]", 4)):
+        with pytest.raises(ParseError, match=f"expected a value \\(at position {pos}\\)"):
+            parse_element(text, g3)
+    for text in ("2", "2*", "[s1", "[s1] +", "[s1] 2*[s2]"):
+        with pytest.raises(ParseError, match="at position"):
+            parse_element(text, g3)
+    # a run of signs is read the same before a word and before a coefficient
+    s1_minus_s2 = mono(g3, (0,)) - mono(g3, (1,))
+    for text in ("[s1] + -[s2]", "[s1] - [s2]", "[s1] - +1*[s2]", "--[s1] -+- -[s2]"):
+        assert parse_element(text, g3) == s1_minus_s2, text
+    assert parse_element("[s1] + -3*[s2]", g3) == mono(g3, (0,)) - mono(g3, (1,), ONE * 3)
+
+
 def test_classical_span_is_closed():
     # products of basis words stay inside the Catalan-dimensional span
     for n in (2, 3, 4):

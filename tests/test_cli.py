@@ -158,9 +158,10 @@ def test_internal_fault_exits_3(capsys, monkeypatch):
 
 # tokens of braid and basis words and of elements, and junk to mix in
 FUZZ_WORD = ("s1", "s2", "s3", "a", "s1^-1", "a'", "s2'")
-FUZZ_ELEMENT = ("+ (1+q)*[s1 a]", "- [s2 s1]", "+ 1/(1+v)*[]", "- v*[s3]", "+ [s1][s2 a]")
+FUZZ_ELEMENT = ("+ (1+q)*[s1 a]", "- [s2 s1]", "+ 1/(1+v)*[]", "- v*[s3]", "+ [s1][s2 a]",
+                "+ 1+q*[s2]", "- - -[s1]")
 FUZZ_JUNK = ("s9", "^-1", "'", "[", "]", "*", "^", "2", "/", "(", ")", "x", "(1+q)", "1/(1+v)",
-             "+", "-")
+             "+", "-", "- -", "*[")
 FUZZ_COMMANDS = ((("invariant",), FUZZ_WORD), (("reduce",), FUZZ_WORD),
                  (("trace", "--type", "affine"), FUZZ_ELEMENT),
                  (("trace", "--type", "classical"), FUZZ_ELEMENT),
@@ -236,8 +237,50 @@ def test_trace_caps_input_words(capsys):
 
 def test_juxtaposition_binds_tighter_than_sum(capsys):
     for text, want in (("[s1][s2] + [a]", "[a] + [s1 s2]"),
-                       ("[s1]-[s1][s2]", "[s1] + (-1)*[s1 s2]")):
-        assert run(capsys, "multiply", "--gens", "3", text) == (0, want + "\n", "")
+                       ("[s1]-[s1][s2]", "[s1] + (-1)*[s1 s2]"),
+                       ("[s1] + -[s2]", "[s1] + (-1)*[s2]")):
+        assert run(capsys, "multiply", "--gens", "3", "--", text) == (0, want + "\n", "")
+    # so does "*": a sum before "*[" is a parse error, and every position
+    # counts from the start of the whole element text
+    for text, err in (("1+q*[s1]", "expected '*' (at position 1)"),
+                      ("q-1*[s1]", "expected '*' (at position 1)"),
+                      ("[s2] - 1+q*[s1]", "expected '*' (at position 8)"),
+                      ("2*[s1] + (q+)*[s2]", "expected a value (at position 12)"),
+                      ("-(q+)*[s1]", "expected a value (at position 4)")):
+        for command in ("multiply", "trace"):
+            assert run(capsys, command, "--gens", "3", "--", text) == (2, "", f"error: {err}\n")
+
+
+def test_multiply_json_follows_the_basis(capsys, monkeypatch):
+    from affinetl import TLElement, algebra, element_from_json, from_g_word, multiply
+
+    conversions = []
+    to_g_basis = algebra.to_g_basis
+    monkeypatch.setattr(algebra, "to_g_basis", lambda x: conversions.append(x) or to_g_basis(x))
+    g3 = affine(3)
+    factors = ("[s1]", "(1/(1+q))*[s2 a] - q*[s1 s2]")
+    for basis in ("f", "g"):
+        head = ("multiply", "--gens", "3", "--basis", basis)
+        code, text, _ = run(capsys, *head, *factors)
+        code_json, out, _ = run(capsys, *head, "--format", "json", *factors)
+        assert code == code_json == 0
+        payload = json.loads(out)
+        assert payload["basis"] == basis
+        # the JSON terms are those of the text form, coefficient for coefficient
+        parts = ["[" + " ".join(t["word"]) + "]" for t in payload["terms"]]
+        assert text == " + ".join(p if t["coeff"] == "1" else f"({t['coeff']})*{p}"
+                                  for t, p in zip(payload["terms"], parts)) + "\n"
+        # and they give back the product in their basis
+        product = multiply(*(parse_element(x, g3) for x in factors))
+        if basis == "f":
+            assert element_from_json(payload["terms"], g3) == product
+        else:
+            assert len(payload["terms"]) > 1
+            got = sum((from_g_word(g3, tuple(map(g3.parse_letter, t["word"])))
+                       .scale(parse_scalar(t["coeff"])) for t in payload["terms"]),
+                      TLElement.zero(g3))
+            assert got == product
+    assert len(conversions) == 2  # one per g-basis command
 
 
 def test_input_over_the_cap_is_a_usage_error(capsys, monkeypatch, tmp_path):

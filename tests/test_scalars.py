@@ -223,6 +223,11 @@ def test_canonical_equality_is_structural():
     a = Scalar((0, 2), (2,))  # 2v/2 == v
     assert a == V
     assert hash(a) == hash(V)
+    # a value equal to an int hashes as that int, so they share a set or key
+    for n in (0, 1, -1, 5, 2 ** 70):
+        assert Scalar.from_int(n) == n and hash(Scalar.from_int(n)) == hash(n)
+    assert len({ONE, 1}) == 1 and {0: "z"}.get(ZERO) == "z"
+    assert Scalar((4,), (2,)) == 2 and hash(Scalar((4,), (2,))) == hash(2)
     b = Scalar((0, -1), (-1,))  # -v/-1
     assert b == V
     assert Scalar((0, 0, 2, 0, 2), (0, 2)) == (Q + ONE) * V  # v(q+1) with content
